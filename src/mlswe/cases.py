@@ -46,6 +46,10 @@ class CaseSpec:
             raise ValueError("t_final must be nonnegative")
         if self.dt is None and self.target_ccel is None and self.t_final > 0:
             raise ValueError("either dt or target_ccel must be set")
+        for name in ("dt", "target_ccel"):
+            value = getattr(self, name)
+            if value is not None and not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
     def with_options(self, **kw) -> "CaseSpec":
         return replace(self, **kw)

@@ -3,7 +3,7 @@
 Subcommands:
   run <case>            advance one benchmark case and write CSV snapshots
   analyze spectrum      eigenvalues of the linearized system for a profile
-  analyze sweep         hyperbolicity sweep over a two-layer shear contrast
+  analyze sweep         shear sweep across a thin middle layer (0.45, 0.1, 0.45)
   compare <run> <ref>   relative differences between two run directories
 """
 
@@ -44,7 +44,8 @@ def _build_parser() -> argparse.ArgumentParser:
     spec_p = asub.add_parser("spectrum", help="spectrum of a background profile")
     spec_p.add_argument("profile", help="INI file with H, g, U, rho, l")
     spec_p.add_argument("--out", default=None, help="CSV output (default stdout)")
-    sweep_p = asub.add_parser("sweep", help="two-layer shear-contrast sweep")
+    sweep_p = asub.add_parser("sweep", help="hyperbolicity over the velocity jump "
+                              "across a thin middle layer (0.45, 0.1, 0.45)")
     sweep_p.add_argument("--h", type=float, default=1.0)
     sweep_p.add_argument("--g", type=float, default=9.81)
     sweep_p.add_argument("--contrast-max", type=float, default=10.0)
@@ -112,8 +113,8 @@ def _cmd_spectrum(args) -> int:
 def _cmd_sweep(args) -> int:
     rows = [("shear", "max_im_lambda")]
     for du in np.linspace(0.0, args.contrast_max, args.points):
-        model = LinearModel(H=args.h, U=np.array([du / 2, -du / 2]),
-                            rho=np.zeros(2), l=np.array([0.5, 0.5]), g=args.g)
+        model = LinearModel(H=args.h, U=du * np.array([-0.5, 0.0, 0.5]),
+                            rho=np.zeros(3), l=np.array([0.45, 0.1, 0.45]), g=args.g)
         _, max_im = hyperbolicity_check(assemble_A(model))
         rows.append((repr(float(du)), repr(float(max_im))))
     _emit_csv(rows, args.out)

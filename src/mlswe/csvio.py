@@ -30,22 +30,22 @@ def _fmt(v) -> str:
 
 
 def write_snapshot(path, t, state, grid) -> None:
-    """Write one state as rows (t, x, layer, field, value)."""
+    """Write one state as rows (t, x, layer, field, value), byte for byte as
+    the csv module's writer would (no field needs quoting, CRLF line ends).
+    Rows are formatted a column at a time, so no copy of the file is held."""
     mesh, layout = grid.mesh, grid.layout
+    ts = _fmt(t)
+    xc = [f"{ts},{x!r}," for x in mesh.x_center.tolist()]
+    xi = [f"{ts},{x!r}," for x in mesh.x_iface.tolist()]
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(SNAPSHOT_COLUMNS)
-        ts = _fmt(t)
-        for i in range(mesh.M):
-            w.writerow([ts, _fmt(mesh.x_center[i]), 0, "eta", _fmt(state.eta[i])])
-        for j in range(mesh.M + 1):
-            for a in range(layout.n_half[j]):
-                w.writerow([ts, _fmt(mesh.x_iface[j]), a + 1, "u",
-                            _fmt(state.u[a, j])])
-        for i in range(mesh.M):
-            for a in range(layout.n_int[i]):
-                w.writerow([ts, _fmt(mesh.x_center[i]), a + 1, "rho",
-                            _fmt(state.rho[a, i])])
+        f.write(",".join(SNAPSHOT_COLUMNS) + "\r\n")
+        f.writelines([f"{x}0,eta,{v!r}\r\n" for x, v in zip(xc, state.eta.tolist())])
+        for name, xs, counts, values in (
+                ("u", xi, layout.n_half.tolist(), state.u.T),
+                ("rho", xc, layout.n_int.tolist(), state.rho.T)):
+            for x, n, column in zip(xs, counts, values):
+                f.writelines([f"{x}{a},{name},{v!r}\r\n"
+                              for a, v in enumerate(column[:n].tolist(), 1)])
 
 
 def read_snapshot(path):

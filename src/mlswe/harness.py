@@ -113,7 +113,9 @@ def run_case(spec: CaseSpec, grid: Grid | None = None,
         vol1 = total_volume(state, grid.mesh)
         dm1 = total_density_mass(state, grid.mesh, grid.layout)
         report.volume_drift = abs(vol1 - vol0) / max(abs(vol0), 1e-300)
-        report.density_mass_drift = abs(dm1 - dm0) / max(abs(dm0), 1e-30)
+        # relative to the larger content: 1 from an empty start, 0 if both are empty
+        scale = max(abs(dm0), abs(dm1))
+        report.density_mass_drift = abs(dm1 - dm0) / scale if scale > 0 else 0.0
     return RunResult(spec=spec, grid=grid, times=times, states=states,
                      report=report)
 

@@ -1,10 +1,16 @@
 """Time integrators: explicit SSP-RK3 and the semi-implicit IMEX-ARK2 step.
 
-The IMEX step treats the barotropic pressure gradient, the mass flux and the
-vertical viscous exchange implicitly; everything else (advection, transfer
-terms, baroclinic pressure) stays explicit. The implicit stages are solved by
-eliminating the velocities column by column (vertical tridiagonal solves) and
-assembling one horizontal tridiagonal system for the free surface.
+The IMEX step is an ARK2 pair (Giraldo, Kelly & Constantinescu, SIAM J. Sci.
+Comput. 35, 2013) that treats the barotropic pressure gradient, the mass
+flux and the vertical viscous exchange implicitly, everything else
+(advection, transfer terms, baroclinic pressure) explicitly. The implicit
+operator is frozen at time level n, so both implicit stages share one
+vertical tridiagonal matrix; each eliminates the velocities column by column
+and solves one horizontal tridiagonal system for the free surface. A step
+evaluates only what the tableau consumes: the non-stiff momentum tendency
+at all three stages, the stiff tendencies at level n alone (stage 2's comes
+out of its implicit solve, and stage 3's is never needed because the weights
+equal the last implicit row), and the mass transfer at the frozen height.
 
 Density stages use a linearized update so that no extra linear system is
 needed: each stage advects the previous stage's density with a tableau-
@@ -21,10 +27,11 @@ import numpy as np
 import scipy.linalg as sla
 
 from .bc import Discharge, Elevation, Wall
-from .spatial import (Grid, Tendencies, ViscousCoeffs, boundary_values,
-                      compute_tendencies, density_rhs_flux, evolved_interfaces,
-                      mass_transfer, prepare_fields, vertical_density_term,
-                      viscous_coefficients)
+from .spatial import (Grid, ViscousCoeffs, boundary_values, compute_tendencies,
+                      density_rhs_flux, free_surface_rhs, mass_transfer,
+                      momentum_nonstiff, momentum_stiff, prepare_fields,
+                      vertical_density_term, viscous_coefficients,
+                      with_height)
 from .state import State
 
 SQRT2 = np.sqrt(2.0)
@@ -217,7 +224,8 @@ class ImplicitWorkspace:
     diag: np.ndarray
     sup: np.ndarray
     k_const: np.ndarray         # (n_max, M+1) constant forcing (wind)
-    evolved: np.ndarray         # (M+1,) bool
+    w_hat: np.ndarray           # (n_max, M+1) velocity response to grad eta
+    W: np.ndarray               # (M+1,) its column flux h * sum(l * w_hat)
 
 
 def build_implicit_workspace(grid: Grid, h_half, coeffs: ViscousCoeffs,
@@ -251,13 +259,17 @@ def build_implicit_workspace(grid: Grid, h_half, coeffs: ViscousCoeffs,
     k_const[top, cols] = coeffs.c_wind * coeffs.u_wind * inv_lh[top, cols]
     k_const = np.where(act, k_const, 0.0)
 
+    sub = -gamma_dt * sub_a
+    diag = np.where(act, 1.0 - gamma_dt * diag_a, 1.0)
+    sup = -gamma_dt * sup_a
+    # the same matrix and right-hand side in every stage of the step; with
+    # trivial coefficients the matrix is exactly the identity
+    ones = np.where(act, gamma_dt * grid.params.g / grid.mesh.dx_half, 0.0)
+    w_hat = ones if coeffs.trivial else _thomas(sub, diag, sup, ones)
     return ImplicitWorkspace(
         h_half=h_half, coeffs=coeffs, gamma_dt=gamma_dt,
-        sub=-gamma_dt * sub_a,
-        diag=np.where(act, 1.0 - gamma_dt * diag_a, 1.0),
-        sup=-gamma_dt * sup_a,
-        k_const=k_const,
-        evolved=evolved_interfaces(grid),
+        sub=sub, diag=diag, sup=sup, k_const=k_const, w_hat=w_hat,
+        W=h_half * np.sum(layout.l_half * w_hat, axis=0),
     )
 
 
@@ -271,27 +283,20 @@ def implicit_stage_solve(grid: Grid, ws: ImplicitWorkspace,
     Returns (eta_stage, u_stage). Velocities at non-evolved boundary columns
     are returned as zero; prescribed values are reapplied on evaluation.
     """
-    layout, mesh, g = grid.layout, grid.mesh, grid.params.g
+    layout, mesh = grid.layout, grid.mesh
     M = mesh.M
     gd = ws.gamma_dt
 
     rhs_u = np.where(layout.active_half(), u_expl + gd * ws.k_const, 0.0)
-    u_hat = _thomas(ws.sub, ws.diag, ws.sup, rhs_u)
-    ones = np.where(layout.active_half(), gd * g / mesh.dx_half, 0.0)
-    w_hat = _thomas(ws.sub, ws.diag, ws.sup, ones)
+    u_hat = rhs_u if ws.coeffs.trivial else _thomas(ws.sub, ws.diag, ws.sup, rhs_u)
 
     K = ws.h_half * np.sum(layout.l_half * u_hat, axis=0)
-    W = ws.h_half * np.sum(layout.l_half * w_hat, axis=0)
+    W = ws.W
 
     bounds = grid.bounds
     eta_bc = {}
     if bounds.periodic:
-        lower = np.empty(M)
-        diag = np.empty(M)
-        upper = np.empty(M)
-        rhs = np.empty(M)
-        Wl = W[np.arange(M)]            # interface i (left of cell i), col M aliases 0
-        Wl[0] = W[0]
+        Wl = W[:M]                      # interface i (left of cell i), col M aliases 0
         Wr = W[1:M + 1].copy()
         Wr[-1] = W[0]
         Kl = K[:M].copy()
@@ -304,7 +309,6 @@ def implicit_stage_solve(grid: Grid, ws: ImplicitWorkspace,
         rhs = eta_expl - fac * (Kr - Kl)
         eta = _cyclic_tridiag(lower, diag, upper, rhs)
     else:
-        K = K.copy()
         W = W.copy()
         for side, j, cond in (("left", 0, bounds.left), ("right", M, bounds.right)):
             if isinstance(cond, Wall):
@@ -343,8 +347,8 @@ def implicit_stage_solve(grid: Grid, ws: ImplicitWorkspace,
             d_eta[0] = eta[0] - eta_bc[0]
         if M in eta_bc:
             d_eta[M] = eta_bc[M] - eta[-1]
-    u = u_hat - d_eta[None, :] * w_hat
-    u = np.where(ws.evolved[None, :] & layout.active_half(), u, 0.0)
+    u = u_hat - d_eta[None, :] * ws.w_hat
+    u = np.where(grid.evolved_u, u, 0.0)
     if bounds.periodic:
         u[:, M] = u[:, 0]
     return eta, u
@@ -380,7 +384,7 @@ def implicit_residual(grid: Grid, ws: ImplicitWorkspace, eta_expl, u_expl,
     layout, mesh, g = grid.layout, grid.mesh, grid.params.g
     M = mesh.M
     gd = ws.gamma_dt
-    act = layout.active_half() & ws.evolved[None, :]
+    act = grid.evolved_u
 
     eta_g = np.empty(M + 2)
     eta_g[1:-1] = eta
@@ -426,13 +430,15 @@ class IMEXIntegrator:
         self.n_implicit = 0
         self.last_residual = 0.0
 
-    def _tend(self, state: State, t: float) -> Tendencies:
+    def _nonstiff_stage(self, state: State, t: float, h_half_n):
+        """What stages 2 and 3 consume: the non-stiff momentum tendency, the
+        stage fields and the mass transfer at the frozen level-n height."""
+        grid = self.grid
         self.n_rhs += 1
-        return compute_tendencies(state, self.grid, t, limiter=self.limiter)
-
-    def _frozen_G(self, state: State, t: float, h_half_n):
-        fs = prepare_fields(state, self.grid, t, h_half_frozen=h_half_n)
-        return mass_transfer(fs, self.grid), fs
+        fs = prepare_fields(state, grid, t)
+        N = momentum_nonstiff(fs, mass_transfer(fs, grid), grid, self.limiter)
+        G = mass_transfer(with_height(fs, grid, t, h_half_n), grid)
+        return N, fs, G
 
     def step(self, state: State, t: float, dt: float) -> State:
         grid = self.grid
@@ -447,21 +453,23 @@ class IMEXIntegrator:
         lh_n = layout.l_int * h_n
 
         # ---- stage 1 = level n ----------------------------------------
-        tend1 = self._tend(state, t)
-        fs_n = tend1.fields                       # h_half frozen at level n
+        # the only stage whose stiff tendencies are evaluated; its interface
+        # height and viscous coefficients freeze the implicit operator
+        self.n_rhs += 1
+        fs_n = prepare_fields(state, grid, t)
         h_half_n = fs_n.h_half
+        G1 = mass_transfer(fs_n, grid)            # already at h^n
         coeffs = viscous_coefficients(grid, h_half_n, fs_n.u)
         ws = build_implicit_workspace(grid, h_half_n, coeffs, dt * gamma)
-
-        N1 = tend1.d_u_nonstiff
-        S1_u = tend1.d_u_stiff
-        S1_eta = tend1.d_eta
-        G1 = tend1.G                              # already at h^n
+        N1 = momentum_nonstiff(fs_n, G1, grid, self.limiter)
+        S1_u = momentum_stiff(fs_n, coeffs, grid)
+        S1_eta = free_surface_rhs(fs_n, grid)
         u1f = fs_n.u
         rho1 = state.rho
         rho1_g = fs_n.rho_g
 
         # ---- stage 2 ----------------------------------------------------
+        # the stiff tendency S2 comes out of the implicit solve
         t2 = t + c[1] * dt
         eta_e2 = state.eta + dt * ai[1, 0] * S1_eta
         u_e2 = state.u + dt * (a[1, 0] * N1 + ai[1, 0] * S1_u)
@@ -473,8 +481,7 @@ class IMEXIntegrator:
         if np.any(h2 <= grid.h_min) or not np.all(np.isfinite(eta2)):
             raise StepFailure("implicit stage produced a dry or non-finite state")
 
-        state2_tmp = State(eta2, u2, rho1)
-        u2f, _, _, _ = boundary_values(state2_tmp, grid, t2)
+        u2f = boundary_values(State(eta2, u2, rho1), grid, t2)[0]
         ustar2 = ai[1, 1] * u2f + ai[1, 0] * u1f
         flux_s2 = density_rhs_flux(rho1_g, ustar2, fs_n, grid)
         vert1 = vertical_density_term(rho1, G1, grid)
@@ -482,13 +489,11 @@ class IMEXIntegrator:
         rho2 = np.where(act_i, num2 / (l_safe * h2), 0.0)
 
         state2 = State(eta2, u2, rho2)
-        tend2 = self._tend(state2, t2)
-        N2 = tend2.d_u_nonstiff
-        u2f = tend2.fields.u
-        rho2_g = tend2.fields.rho_g
-        G2, _ = self._frozen_G(state2, t2, h_half_n)
+        N2, fs2, G2 = self._nonstiff_stage(state2, t2, h_half_n)
+        rho2_g = fs2.rho_g
 
         # ---- stage 3 ----------------------------------------------------
+        # its stiff tendency is never needed: b equals the last implicit row
         t3 = t + c[2] * dt
         eta_e3 = state.eta + dt * (ai[2, 0] * S1_eta + ai[2, 1] * S2_eta)
         u_e3 = state.u + dt * (a[2, 0] * N1 + a[2, 1] * N2
@@ -499,8 +504,7 @@ class IMEXIntegrator:
         if np.any(h3 <= grid.h_min) or not np.all(np.isfinite(eta3)):
             raise StepFailure("implicit stage produced a dry or non-finite state")
 
-        state3_tmp = State(eta3, u3, rho2)
-        u3f, _, _, _ = boundary_values(state3_tmp, grid, t3)
+        u3f = boundary_values(State(eta3, u3, rho2), grid, t3)[0]
         ustar3 = ai[2, 2] * u3f + ai[2, 1] * u2f
         flux_s3 = density_rhs_flux(rho2_g, ustar3, fs_n, grid)
         vert2 = vertical_density_term(rho2, G2, grid)
@@ -510,11 +514,7 @@ class IMEXIntegrator:
         rho3 = np.where(act_i, num3 / (l_safe * h3), 0.0)
 
         state3 = State(eta3, u3, rho3)
-        tend3 = self._tend(state3, t3)
-        N3 = tend3.d_u_nonstiff
-        u3f = tend3.fields.u
-        rho3_g = tend3.fields.rho_g
-        G3, _ = self._frozen_G(state3, t3, h_half_n)
+        N3, fs3, G3 = self._nonstiff_stage(state3, t3, h_half_n)
 
         # ---- assembly ---------------------------------------------------
         # b equals the last implicit row, so eta^{n+1} = eta3 and the
@@ -522,12 +522,12 @@ class IMEXIntegrator:
         eta_new = eta3
         u_new = u3 + dt * ((b[0] - a[2, 0]) * N1 + (b[1] - a[2, 1]) * N2
                            + b[2] * N3)
-        u_new = np.where(ws.evolved[None, :] & layout.active_half(), u_new, 0.0)
+        u_new = np.where(grid.evolved_u, u_new, 0.0)
         if grid.bounds.periodic:
             u_new[:, -1] = u_new[:, 0]
 
         flux2 = density_rhs_flux(rho2_g, u2f, fs_n, grid)
-        flux3 = density_rhs_flux(rho3_g, u3f, fs_n, grid)
+        flux3 = density_rhs_flux(fs3.rho_g, fs3.u, fs_n, grid)
         vert3 = vertical_density_term(rho3, G3, grid)
         num = lh_n * rho1 + dt * (
             b[0] * (flux1 + vert1) + b[1] * (flux2 + vert2)

@@ -31,6 +31,13 @@ class LayerLayout:
     parent_right: np.ndarray  # (n_max, M) parent layer index at the right interface
     transition_cell: np.ndarray  # (M,) bool
 
+    def __post_init__(self):
+        # grid-static masks, built once and shared read-only by all operators
+        for name, n in (("_active_int", self.n_int), ("_active_half", self.n_half)):
+            mask = np.arange(self.n_max)[:, None] < n[None, :]
+            mask.setflags(write=False)
+            object.__setattr__(self, name, mask)
+
     @property
     def n_max(self) -> int:
         return self.l_half.shape[0]
@@ -40,12 +47,12 @@ class LayerLayout:
         return not bool(self.transition_cell.any())
 
     def active_int(self) -> np.ndarray:
-        """Boolean mask (n_max, M) of live cell layers."""
-        return np.arange(self.n_max)[:, None] < self.n_int[None, :]
+        """Boolean mask (n_max, M) of live cell layers (read-only)."""
+        return self._active_int
 
     def active_half(self) -> np.ndarray:
-        """Boolean mask (n_max, M+1) of live interface layers."""
-        return np.arange(self.n_max)[:, None] < self.n_half[None, :]
+        """Boolean mask (n_max, M+1) of live interface layers (read-only)."""
+        return self._active_half
 
 
 def _check_fractions(l: np.ndarray) -> np.ndarray:

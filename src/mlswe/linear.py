@@ -134,8 +134,10 @@ def characteristic_residual(assembled: AssembledA,
                             lam: np.ndarray | None = None) -> float:
     """Cross-check of the reduced characteristic relation (zero background
     density): for each eigenvalue z of U + H W, the quadratic
-    (z - lambda)(Ubar - lambda) - g H = 0 must be satisfied by some computed
-    eigenvalue lambda of A. Returns the largest of the per-z minima."""
+    (z - lambda)(Ubar - lambda) - g H = 0 is tested against the computed
+    eigenvalues lambda of A. Returns the largest of the per-z minima. The
+    relation is exact only when U + H W is a multiple of the identity (no
+    shear); for l = (1/2, 1/2), dU = 0.2 the residual is 0.33."""
     m = assembled.model
     g, H = m.g, m.H
     if lam is None:

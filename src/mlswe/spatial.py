@@ -2,14 +2,17 @@
 
 Scalars (eta, rho) live at cell centers, velocities at interfaces. Interface
 values of h and rho are upwind selections; the mass-transfer field couples
-the layers vertically. Tendencies are split into a stiff part (barotropic
-pressure gradient, vertical viscosity, mass flux) and a non-stiff part
-(momentum advection, transfer terms, baroclinic pressure terms).
+the layers vertically. The right-hand side comes in pieces that steppers
+call separately: the stiff momentum term (barotropic pressure gradient,
+vertical viscosity), the non-stiff one (momentum advection, transfer terms,
+baroclinic pressure terms), the mass-flux divergence and the density term.
+`compute_tendencies` composes all of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +31,21 @@ class Grid:
     params: PhysParams
     bounds: Boundaries = field(default_factory=closed)
     h_min: float = H_MIN_DEFAULT
+
+    @cached_property
+    def evolved_u(self) -> np.ndarray:
+        """Read-only (n_max, M+1) mask of the prognostic velocities: live
+        layers at every interface except the periodic alias and wall or
+        discharge boundaries, whose velocities are prescribed."""
+        evolved = np.ones(self.mesh.M + 1, dtype=bool)
+        if self.bounds.periodic:
+            evolved[-1] = False  # alias of column 0
+        else:
+            evolved[0] = isinstance(self.bounds.left, Elevation)
+            evolved[-1] = isinstance(self.bounds.right, Elevation)
+        mask = evolved[None, :] & self.layout.active_half()
+        mask.setflags(write=False)
+        return mask
 
 
 def upwind_interface(left, right, carrier):
@@ -94,18 +112,6 @@ def boundary_values(state: State, grid: Grid, t: float):
     return u_full, eta_g, rho_g, b_g
 
 
-def evolved_interfaces(grid: Grid) -> np.ndarray:
-    """Mask of interfaces whose velocities are prognostic unknowns."""
-    M = grid.mesh.M
-    mask = np.ones(M + 1, dtype=bool)
-    if grid.bounds.periodic:
-        mask[M] = False  # alias of column 0
-        return mask
-    mask[0] = isinstance(grid.bounds.left, Elevation)
-    mask[M] = isinstance(grid.bounds.right, Elevation)
-    return mask
-
-
 # ---------------------------------------------------------------------------
 # interface scalars
 
@@ -166,13 +172,8 @@ class FieldSet:
     F: np.ndarray         # (M+1,) column mass flux
 
 
-def prepare_fields(state: State, grid: Grid, t: float,
-                   h_half_frozen: np.ndarray | None = None) -> FieldSet:
-    """Assemble the upwind interface quantities for one RHS evaluation.
-
-    h_half_frozen substitutes a time-level-n interface height (semi-implicit
-    steps freeze it so the mass flux stays linear in the velocities).
-    """
+def prepare_fields(state: State, grid: Grid, t: float) -> FieldSet:
+    """Assemble the upwind interface quantities for one RHS evaluation."""
     mesh, layout = grid.mesh, grid.layout
     u_full, eta_g, rho_g, b_g = boundary_values(state, grid, t)
 
@@ -183,22 +184,24 @@ def prepare_fields(state: State, grid: Grid, t: float,
 
     act_h = layout.active_half()
     ubar = np.sum(layout.l_half * u_full, axis=0)
-    if h_half_frozen is not None:
-        h_half = h_half_frozen
-    else:
-        h_half = upwind_interface(h_g[:-1], h_g[1:], ubar)
+    h_half = upwind_interface(h_g[:-1], h_g[1:], ubar)
 
     rho_L, rho_R = interface_cell_scalars(rho_g, grid)
     rho_half = np.where(act_h, upwind_interface(rho_L, rho_R, u_full), 0.0)
+    fs = FieldSet(u=u_full, eta_g=eta_g, rho_g=rho_g, b_g=b_g, h=h, h_g=h_g,
+                  h_half=None, ubar=ubar, rho_L=rho_L, rho_R=rho_R,
+                  rho_half=rho_half, flux=None, F=None)
+    return with_height(fs, grid, t, h_half)
 
-    flux = layout.l_half * h_half * u_full
+
+def with_height(fs: FieldSet, grid: Grid, t: float, h_half) -> FieldSet:
+    """fs with interface height h_half and the mass flux l*h*u that follows
+    (a left discharge prescribes its own); no other field depends on it.
+    Semi-implicit steps freeze the height at time level n."""
+    flux = grid.layout.l_half * h_half * fs.u
     if not grid.bounds.periodic and isinstance(grid.bounds.left, Discharge):
-        flux[:, 0] = layout.l_half[:, 0] * grid.bounds.left.q(t)
-    F = np.sum(flux, axis=0)
-
-    return FieldSet(u=u_full, eta_g=eta_g, rho_g=rho_g, b_g=b_g, h=h, h_g=h_g,
-                    h_half=h_half, ubar=ubar, rho_L=rho_L, rho_R=rho_R,
-                    rho_half=rho_half, flux=flux, F=F)
+        flux[:, 0] = grid.layout.l_half[:, 0] * grid.bounds.left.q(t)
+    return replace(fs, h_half=h_half, flux=flux, F=np.sum(flux, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -583,34 +586,41 @@ def barotropic_gradient(fs: FieldSet, grid: Grid) -> np.ndarray:
     return np.where(grid.layout.active_half(), grad, 0.0)
 
 
-def compute_tendencies(state: State, grid: Grid, t: float, *,
-                       limiter: bool = False,
-                       h_half_frozen: np.ndarray | None = None,
-                       visc_coeffs: ViscousCoeffs | None = None) -> Tendencies:
-    """Full spatial right-hand side at (state, t)."""
-    fs = prepare_fields(state, grid, t, h_half_frozen=h_half_frozen)
-    d_eta = free_surface_rhs(fs, grid)
-    G = mass_transfer(fs, grid)
+def momentum_stiff(fs: FieldSet, coeffs: ViscousCoeffs, grid: Grid) -> np.ndarray:
+    """Stiff momentum tendency: barotropic pressure gradient plus vertical
+    viscosity and friction, zero off the prognostic velocities."""
+    d_u = barotropic_gradient(fs, grid) + viscous_exchange(
+        fs.u, fs.h_half, coeffs, grid)
+    return np.where(grid.evolved_u, d_u, 0.0)
 
-    if visc_coeffs is None:
-        visc_coeffs = viscous_coefficients(grid, fs.h_half, fs.u)
-    d_u_stiff = barotropic_gradient(fs, grid) + viscous_exchange(
-        fs.u, fs.h_half, visc_coeffs, grid)
 
+def momentum_nonstiff(fs: FieldSet, G, grid: Grid, limiter: bool) -> np.ndarray:
+    """Non-stiff momentum tendency: advection, transfer and baroclinic
+    pressure terms, zero off the prognostic velocities."""
     adv = momentum_advection(fs, grid, limiter)
-    d_u_nonstiff = (-adv + momentum_transfer_term(fs, G, grid)
-                    + baroclinic_gradient(fs, grid))
+    d_u = (-adv + momentum_transfer_term(fs, G, grid)
+           + baroclinic_gradient(fs, grid))
+    return np.where(grid.evolved_u, d_u, 0.0)
 
-    mask = evolved_interfaces(grid)[None, :] & grid.layout.active_half()
-    d_u_stiff = np.where(mask, d_u_stiff, 0.0)
-    d_u_nonstiff = np.where(mask, d_u_nonstiff, 0.0)
 
+def density_tendency(fs: FieldSet, G, rho, grid: Grid) -> np.ndarray:
+    """Conservative density tendency d(rho*l*h)/dt per live cell layer."""
     d_r = density_rhs_flux(fs.rho_g, fs.u, fs, grid) + vertical_density_term(
-        state.rho, G, grid)
-    d_r = np.where(grid.layout.active_int(), d_r, 0.0)
+        rho, G, grid)
+    return np.where(grid.layout.active_int(), d_r, 0.0)
 
-    return Tendencies(d_eta=d_eta, d_u_stiff=d_u_stiff,
-                      d_u_nonstiff=d_u_nonstiff, d_r=d_r, fields=fs, G=G)
+
+def compute_tendencies(state: State, grid: Grid, t: float, *,
+                       limiter: bool = False) -> Tendencies:
+    """Full spatial right-hand side at (state, t)."""
+    fs = prepare_fields(state, grid, t)
+    G = mass_transfer(fs, grid)
+    coeffs = viscous_coefficients(grid, fs.h_half, fs.u)
+    return Tendencies(d_eta=free_surface_rhs(fs, grid),
+                      d_u_stiff=momentum_stiff(fs, coeffs, grid),
+                      d_u_nonstiff=momentum_nonstiff(fs, G, grid, limiter),
+                      d_r=density_tendency(fs, G, state.rho, grid),
+                      fields=fs, G=G)
 
 
 def diagnostic_w(state: State, grid: Grid, t: float = 0.0) -> np.ndarray:

@@ -97,6 +97,23 @@ def test_case_spec_validation():
     assert other.dt == 0.01 and spec.dt == 0.04
 
 
+@pytest.mark.parametrize("bad", [
+    {"dt": 0.0}, {"dt": -0.1}, {"dt": float("nan")}, {"dt": float("inf")},
+    {"dt": None, "target_ccel": 0.0}, {"dt": None, "target_ccel": -0.9}])
+def test_case_spec_rejects_bad_time_steps(bad, monkeypatch):
+    """dt = 0 used to hang the run and dt < 0 to run backwards in time; the
+    spec now refuses them when it is built, before any step."""
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step was started")
+
+    for cls in (m.RK3Integrator, m.IMEXIntegrator):
+        monkeypatch.setattr(cls, "step", no_step)
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        m.run_case(m.case_lock_exchange(integrator="rk3", **bad))
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        m.case_internal_wave().with_options(**bad)
+
+
 def test_build_problem_shapes():
     grid, state = m.build_problem(m.case_tidal(layout="nvar4"))
     assert grid.mesh.M == 500

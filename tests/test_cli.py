@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from mlswe import cli
 from mlswe.cli import main
 
 
@@ -55,6 +56,31 @@ def test_sweep_subcommand(tmp_path):
     assert len(rows) == 10
     shear = [float(r[0]) for r in rows[1:]]
     assert shear[0] == 0.0 and shear[-1] == 4.0
+
+
+def test_sweep_shows_loss_across_thin_middle_layer(tmp_path):
+    out = tmp_path / "sweep.csv"
+    rc = main(["analyze", "sweep", "--contrast-max", "1.0", "--points", "5",
+               "--out", str(out)])
+    assert rc == 0
+    with open(out, newline="") as f:
+        rows = list(csv.reader(f))[1:]
+    im = [float(r[1]) for r in rows]
+    # no shear, no loss; a unit jump across the (0.45, 0.1, 0.45) stack
+    # gives max |Im lambda| = 0.236
+    assert im[0] == 0.0
+    assert float(rows[-1][0]) == 1.0 and im[-1] > 0.2
+
+
+def test_run_rejects_zero_time_step(tmp_path, capsys, monkeypatch):
+    def no_run(spec):
+        raise AssertionError("a run was started")
+
+    monkeypatch.setattr(cli, "run_case", no_run)
+    rc = main(["run", "lock_exchange", "--dt", "0", "--out", str(tmp_path / "x")])
+    assert rc == 1
+    assert "dt must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_compare_subcommand(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -79,3 +81,36 @@ def test_output_root(tmp_path, monkeypatch):
     assert csvio.output_root() == tmp_path
     monkeypatch.delenv(csvio.OUTPUT_ROOT_ENV)
     assert csvio.output_root() == csvio.Path(".")
+
+
+def _csv_writer_snapshot(path, t, state, grid):
+    """The snapshot written row by row through csv.writer (reference)."""
+    mesh, layout = grid.mesh, grid.layout
+    fmt = lambda v: repr(float(v))  # noqa: E731
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(csvio.SNAPSHOT_COLUMNS)
+        for i in range(mesh.M):
+            w.writerow([fmt(t), fmt(mesh.x_center[i]), 0, "eta", fmt(state.eta[i])])
+        for j in range(mesh.M + 1):
+            for a in range(layout.n_half[j]):
+                w.writerow([fmt(t), fmt(mesh.x_iface[j]), a + 1, "u",
+                            fmt(state.u[a, j])])
+        for i in range(mesh.M):
+            for a in range(layout.n_int[i]):
+                w.writerow([fmt(t), fmt(mesh.x_center[i]), a + 1, "rho",
+                            fmt(state.rho[a, i])])
+
+
+def test_snapshot_bytes_match_csv_writer(tmp_path):
+    grid, state = m.build_problem(m.case_tidal(layout="nvar4", M=30))
+    rng = np.random.default_rng(11)
+    state.eta = state.eta - rng.random(state.eta.shape)
+    state.u = rng.standard_normal(state.u.shape) * 10.0 ** rng.integers(
+        -300, 300, state.u.shape)
+    state.u[0, :3] = [-0.0, -np.inf, np.nan]
+    state.rho = -rng.random(state.rho.shape) * 1e-17
+    fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+    csvio.write_snapshot(fast, 3.0e7 + 1.0 / 3.0, state, grid)
+    _csv_writer_snapshot(slow, 3.0e7 + 1.0 / 3.0, state, grid)
+    assert fast.read_bytes() == slow.read_bytes()

@@ -183,3 +183,21 @@ def test_run_case_adaptive_respects_target():
     # the step is chosen on the pre-step state, so the post-step Courant
     # number may exceed the target only marginally
     assert result.report.max_ccel <= 0.5 * 1.01
+
+
+def test_density_mass_drift_from_an_empty_start():
+    """The tidal case starts without density and takes it in at the open
+    boundary: the drift relative to the larger content is 1 (it used to
+    divide by the zero start and report about 1e32). Two empty contents
+    report 0."""
+    result = m.run_case(m.case_tidal(layout="uniform", M=40, t_final=1800.0,
+                                     output_interval=1800.0))
+    assert result.report.verdict == "completed"
+    assert result.report.density_mass_drift == 1.0
+
+    def no_density(x, layout):
+        return np.zeros((layout.n_max, x.size))
+
+    empty = m.run_case(m.case_lock_exchange(M=20, t_final=0.5, rho0=no_density))
+    assert empty.report.verdict == "completed"
+    assert empty.report.density_mass_drift == 0.0

@@ -48,6 +48,14 @@ def test_two_region_layout(mesh):
     # fraction columns always partition unity on live layers
     assert np.allclose(np.sum(layout.l_int, axis=0), 1.0)
     assert np.allclose(np.sum(layout.l_half, axis=0), 1.0)
+    # live-layer masks are built once and shared read-only
+    assert layout.active_half() is layout.active_half()
+    assert np.array_equal(layout.active_half(),
+                          np.arange(2)[:, None] < layout.n_half[None, :])
+    assert np.array_equal(layout.active_int(),
+                          np.arange(2)[:, None] < layout.n_int[None, :])
+    with pytest.raises(ValueError):
+        layout.active_int()[1, 0] = True
 
 
 def test_invalid_layouts_rejected(mesh):

@@ -1,0 +1,185 @@
+"""A few time steps of each integrator from fixed starts.
+
+`tests/data/step_reference.npz` holds the states that a known-good version
+of the code reached from the starts built here. The steppers must reproduce
+them, so a restructuring of the step that is meant to leave the arithmetic
+alone shows any change it does make. From the same starts, the split
+right-hand side is checked against its term-by-term composition, and the
+work of one IMEX step is counted.
+
+Regenerate the file (only after a change that is meant to alter results):
+
+    PYTHONPATH=src python tests/test_step_reference.py
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import mlswe as m
+from mlswe import integrators, spatial
+from mlswe.spatial import (baroclinic_gradient, barotropic_gradient,
+                           density_rhs_flux, density_tendency, free_surface_rhs,
+                           mass_transfer, momentum_advection, momentum_nonstiff,
+                           momentum_stiff, momentum_transfer_term,
+                           prepare_fields, vertical_density_term,
+                           viscous_coefficients, viscous_exchange, with_height)
+
+REFERENCE = Path(__file__).resolve().parent / "data" / "step_reference.npz"
+REL_TOL = 1e-13
+
+
+def _perturb(grid, state, amp_eta, amp_u, amp_rho):
+    """Add smooth, layer-dependent waves so that every term of the step,
+    vertical shear and transfer included, is active."""
+    mesh, layout = grid.mesh, grid.layout
+    xc = (mesh.x_center - mesh.x_iface[0]) / mesh.length
+    xi = (mesh.x_iface - mesh.x_iface[0]) / mesh.length
+    k = np.arange(layout.n_max)[:, None]
+    state.eta = state.eta + amp_eta * np.sin(2.0 * np.pi * xc)
+    state.u = np.where(layout.active_half(),
+                       state.u + amp_u * np.cos(2.0 * np.pi * xi + 0.7 * k), 0.0)
+    bump = 0.5 * (1.0 + np.sin(4.0 * np.pi * xc + 0.3 * k))
+    state.rho = np.where(layout.active_int(), state.rho + amp_rho * bump, 0.0)
+    return state
+
+
+def _periodic_viscous():
+    mesh = m.build_mesh(0.0, 1.0, 24)
+    layout = m.build_layout(mesh, [0.2, 0.3, 0.5])
+    grid = m.Grid(mesh=mesh, layout=layout, params=m.PhysParams(nu=5e-4),
+                  bounds=m.periodic())
+    return grid, m.rest_state(mesh, layout, eta0=1.0)
+
+
+def reference_runs():
+    """name -> (integrator, limiter, grid, start state, t0, dt, steps)."""
+    runs = {}
+    grid, state = m.build_problem(m.case_internal_wave(M=24))
+    runs["internal_wave"] = ("imex", False, grid,
+                             _perturb(grid, state, 0.002, 0.02, 0.0), 0.0, 0.04, 5)
+    for layout in ("nvar4", "uniform"):
+        grid, state = m.build_problem(m.case_tidal(layout=layout, M=40))
+        runs[f"tidal_{layout}"] = ("imex", False, grid,
+                                   _perturb(grid, state, 0.5, 0.2, 0.01),
+                                   3.0 * 3600.0, 20.0, 5)
+    grid, state = m.build_problem(m.case_lock_exchange(M=40))
+    runs["lock_exchange"] = ("imex", True, grid, state, 0.0, 0.1, 5)
+    runs["lock_exchange_rk3"] = ("rk3", True, grid, state, 0.0, 0.05, 5)
+    grid, state = _periodic_viscous()
+    runs["periodic_viscous"] = ("imex", False, grid,
+                                _perturb(grid, state, 0.01, 0.05, 0.02), 0.0, 0.01, 5)
+    return runs
+
+
+def advance(kind, limiter, grid, state, t0, dt, steps):
+    cls = m.IMEXIntegrator if kind == "imex" else m.RK3Integrator
+    integ = cls(grid, limiter=limiter)
+    for n in range(steps):
+        state = integ.step(state, t0 + n * dt, dt)
+    return state, integ
+
+
+def _record(name, state, integ) -> dict:
+    return {f"{name}.eta": state.eta, f"{name}.u": state.u,
+            f"{name}.rho": state.rho,
+            f"{name}.counts": np.array([integ.n_rhs, getattr(integ, "n_implicit", 0)]),
+            f"{name}.last_residual": np.array(getattr(integ, "last_residual", 0.0))}
+
+
+@pytest.mark.parametrize("name", sorted(reference_runs()))
+def test_steps_reproduce_reference(name):
+    ref = np.load(REFERENCE)
+    state, integ = advance(*reference_runs()[name])
+    got = _record(name, state, integ)
+    np.testing.assert_array_equal(got[f"{name}.counts"], ref[f"{name}.counts"])
+    for key in (f"{name}.eta", f"{name}.u", f"{name}.rho", f"{name}.last_residual"):
+        want = ref[key]
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert got[key].shape == want.shape, key
+        assert np.max(np.abs(got[key] - want)) <= REL_TOL * scale, key
+
+
+def _rhs_term_by_term(state, grid, t, limiter):
+    """(d_eta, d_u_stiff, d_u_nonstiff, d_r) assembled from the individual
+    operators, as compute_tendencies did before the split (reference)."""
+    fs = prepare_fields(state, grid, t)
+    G = mass_transfer(fs, grid)
+    coeffs = viscous_coefficients(grid, fs.h_half, fs.u)
+    evolved = np.ones(grid.mesh.M + 1, dtype=bool)
+    if grid.bounds.periodic:
+        evolved[-1] = False
+    else:
+        evolved[0] = isinstance(grid.bounds.left, m.Elevation)
+        evolved[-1] = isinstance(grid.bounds.right, m.Elevation)
+    mask = evolved[None, :] & grid.layout.active_half()
+    stiff = barotropic_gradient(fs, grid) + viscous_exchange(
+        fs.u, fs.h_half, coeffs, grid)
+    nonstiff = (-momentum_advection(fs, grid, limiter)
+                + momentum_transfer_term(fs, G, grid) + baroclinic_gradient(fs, grid))
+    d_r = density_rhs_flux(fs.rho_g, fs.u, fs, grid) + vertical_density_term(
+        state.rho, G, grid)
+    return (free_surface_rhs(fs, grid), np.where(mask, stiff, 0.0),
+            np.where(mask, nonstiff, 0.0),
+            np.where(grid.layout.active_int(), d_r, 0.0))
+
+
+@pytest.mark.parametrize("name", sorted(reference_runs()))
+def test_compute_tendencies_is_the_sum_of_its_pieces(name):
+    _, limiter, grid, state, t, _, _ = reference_runs()[name]
+    tend = m.compute_tendencies(state, grid, t, limiter=limiter)
+    fs = prepare_fields(state, grid, t)
+    G = mass_transfer(fs, grid)
+    coeffs = viscous_coefficients(grid, fs.h_half, fs.u)
+    stiff = momentum_stiff(fs, coeffs, grid)
+    nonstiff = momentum_nonstiff(fs, G, grid, limiter)
+    pieces = (free_surface_rhs(fs, grid), stiff, nonstiff,
+              density_tendency(fs, G, state.rho, grid))
+    got = (tend.d_eta, tend.d_u_stiff, tend.d_u_nonstiff, tend.d_r)
+    for a, b, ref in zip(got, pieces, _rhs_term_by_term(state, grid, t, limiter)):
+        assert np.array_equal(a, b) and np.array_equal(a, ref)
+    assert np.array_equal(tend.d_u_stiff + tend.d_u_nonstiff, stiff + nonstiff)
+    # substituting the height a field set already has changes nothing
+    same = with_height(fs, grid, t, fs.h_half)
+    assert np.array_equal(same.flux, fs.flux) and np.array_equal(same.F, fs.F)
+
+
+@pytest.mark.parametrize("name, solves", [
+    ("internal_wave", 0), ("lock_exchange", 0),   # identity vertical matrix
+    ("tidal_nvar4", 3), ("periodic_viscous", 3)])  # one w_hat, one u_hat per stage
+def test_imex_step_work(name, solves, monkeypatch):
+    """Per step: the level-n viscous coefficients once, one field
+    preparation per stage, no full right-hand side, and the vertical
+    tridiagonal solved only when it is not the identity."""
+    calls = dict.fromkeys(("viscous_coefficients", "prepare_fields",
+                           "compute_tendencies", "_thomas"), 0)
+
+    def count(module, fname):
+        original = getattr(module, fname)
+
+        def counted(*args, **kwargs):
+            calls[fname] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, fname, counted)
+
+    for fname in calls:
+        for module in (spatial, integrators):
+            if hasattr(module, fname):
+                count(module, fname)
+    _, limiter, grid, state, t, dt, _ = reference_runs()[name]
+    integ = m.IMEXIntegrator(grid, limiter=limiter)
+    for n in range(2):
+        state = integ.step(state, t + n * dt, dt)
+    assert calls == {"viscous_coefficients": 2, "prepare_fields": 6,
+                     "compute_tendencies": 0, "_thomas": 2 * solves}
+    assert (integ.n_rhs, integ.n_implicit) == (6, 4)
+
+
+if __name__ == "__main__":
+    data = {}
+    for name, run in reference_runs().items():
+        data.update(_record(name, *advance(*run)))
+    REFERENCE.parent.mkdir(exist_ok=True)
+    np.savez_compressed(REFERENCE, **data)
+    print(f"wrote {REFERENCE} ({REFERENCE.stat().st_size} bytes)")
