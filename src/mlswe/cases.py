@@ -178,9 +178,9 @@ def case_tidal(layout: str = "uniform", **overrides) -> CaseSpec:
     def q_left(t):
         return min(1.0, t / RAMP)
 
+    n_left = len(layers[0][1] if isinstance(layers, list) else layers)
+
     def rho_bc_left(t):
-        n_left = 1 if layout == "nvar1" else (
-            3 if layout == "nvar3" else (4 if layout == "nvar4" else 10))
         return np.zeros(n_left)
 
     def rho0(x, lay):

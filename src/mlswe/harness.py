@@ -174,35 +174,15 @@ def error_norms(state: State, ref: State, grid: Grid) -> dict:
 
 def project_state(state: State, layout_src: LayerLayout,
                   layout_dst: LayerLayout, mesh) -> State:
-    """Re-express a state on a finer (or equal) target layout by copying each
-    parent layer's velocity/density into its children columnwise."""
-    n_dst = layout_dst.n_max
-    M = mesh.M
-    u = np.zeros((n_dst, M + 1))
-    rho = np.zeros((n_dst, M))
-    cache = {}
-
-    def parent_map(l_src, l_dst):
-        key = (tuple(np.round(l_src, 15)), tuple(np.round(l_dst, 15)))
-        if key not in cache:
-            cache[key] = refine_parent(l_src, l_dst)
-        return cache[key]
-
-    for j in range(M + 1):
-        ns, nd = layout_src.n_half[j], layout_dst.n_half[j]
-        if ns == nd:
-            u[:nd, j] = state.u[:nd, j]
-        else:
-            p = parent_map(layout_src.l_half[:ns, j], layout_dst.l_half[:nd, j])
-            u[:nd, j] = state.u[p, j]
-    for i in range(M):
-        ns, nd = layout_src.n_int[i], layout_dst.n_int[i]
-        if ns == nd:
-            rho[:nd, i] = state.rho[:nd, i]
-        else:
-            p = parent_map(layout_src.l_int[:ns, i], layout_dst.l_int[:nd, i])
-            rho[:nd, i] = state.rho[p, i]
-    return State(eta=state.eta.copy(), u=u, rho=rho)
+    """Re-express a state on a finer (or equal) target layout on the same
+    mesh: each target layer copies its parent layer's velocity and density."""
+    u = np.take_along_axis(
+        state.u, refine_parent(layout_src.l_half, layout_dst.l_half), axis=0)
+    rho = np.take_along_axis(
+        state.rho, refine_parent(layout_src.l_int, layout_dst.l_int), axis=0)
+    return State(eta=state.eta.copy(),
+                 u=np.where(layout_dst.active_half(), u, 0.0),
+                 rho=np.where(layout_dst.active_int(), rho, 0.0))
 
 
 # ---------------------------------------------------------------------------

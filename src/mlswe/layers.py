@@ -1,10 +1,16 @@
-"""Vertical layer layout: per-interface layer counts and thickness fractions.
+"""Vertical layer layout: per-interface layer counts and thickness fractions,
+and the remap across layer-count transitions.
 
 Layer fractions are defined at the half-integer (velocity) locations and may
-vary along the mesh. Cell-centered counts/fractions are derived by copying
-from the neighbouring interface with the larger layer count. Transitions must
-be conformal (one set of layers splits/merges exactly into the other) and two
-consecutive transitions are not allowed.
+vary along the mesh. Cell-centered counts/fractions are copied from the
+neighbouring interface with the larger layer count. Transitions must be
+conformal (one set of layers splits/merges exactly into the other) and two
+consecutive transitions are not allowed. At a transition cell one interface
+is coarser than the cell. `build_layout` builds the remap between the two
+layerings once, as flat index arrays per side; operators apply it by gathers:
+restriction (thickness-weighted mean of the cell's layers onto each coarse
+layer), prolongation (a cell layer copies its parent, times its own fraction
+for a flux) and injection of the transfer field G at coarse interfaces.
 """
 
 from __future__ import annotations
@@ -22,14 +28,44 @@ class LayoutError(ValueError):
 
 
 @dataclass(frozen=True)
+class RemapSide:
+    """The remap at the transition cells whose `side` interface (0: left,
+    1: right) is coarser than the cell. Entry e, per live layer of each such
+    cell, is layer `layer[e]` of cell `cell[e]`; it lies in coarse layer
+    `parent[e]`, slot `slot[e]`. Slot s, per live layer of each coarse
+    interface, is layer `slot_layer[s]` of the coarse interface of cell
+    `slot_cell[s]`; its lowest entry is layer `slot_first[s]`. Both run by
+    cell, then layer; `l_fine` and `l_coarse` are their fractions."""
+
+    side: int
+    layer: np.ndarray
+    cell: np.ndarray
+    parent: np.ndarray
+    l_fine: np.ndarray
+    slot: np.ndarray
+    slot_layer: np.ndarray
+    slot_cell: np.ndarray
+    slot_first: np.ndarray
+    l_coarse: np.ndarray
+
+    def at_coarse(self, a: np.ndarray) -> np.ndarray:
+        """View of an (.., M+1) array whose column i is cell i's coarse interface."""
+        return a[:, self.side:a.shape[1] - 1 + self.side]
+
+    def restrict(self, values: np.ndarray) -> np.ndarray:
+        """Thickness-weighted mean of the entries' values per slot, summed in order."""
+        return np.bincount(self.slot, weights=self.l_fine * values,
+                           minlength=self.l_coarse.size) / self.l_coarse
+
+
+@dataclass(frozen=True)
 class LayerLayout:
     n_half: np.ndarray        # (M+1,) layer count at each interface
     l_half: np.ndarray        # (n_max, M+1) fractions, zero padded
     n_int: np.ndarray         # (M,) layer count at each cell
     l_int: np.ndarray         # (n_max, M) fractions, zero padded
-    parent_left: np.ndarray   # (n_max, M) parent layer index at the left interface
-    parent_right: np.ndarray  # (n_max, M) parent layer index at the right interface
     transition_cell: np.ndarray  # (M,) bool
+    remap: tuple              # RemapSides with cells; none if uniform
 
     def __post_init__(self):
         # grid-static masks, built once and shared read-only by all operators
@@ -44,7 +80,7 @@ class LayerLayout:
 
     @property
     def uniform(self) -> bool:
-        return not bool(self.transition_cell.any())
+        return not self.remap
 
     def active_int(self) -> np.ndarray:
         """Boolean mask (n_max, M) of live cell layers (read-only)."""
@@ -69,24 +105,34 @@ def _check_fractions(l: np.ndarray) -> np.ndarray:
 def refine_parent(l_coarse: np.ndarray, l_fine: np.ndarray) -> np.ndarray:
     """Map each fine layer to its parent coarse layer.
 
-    Valid only when the fine fractions are a partition refinement of the
-    coarse ones (cumulative thicknesses align within CONFORMAL_TOL).
+    Fractions run along axis 0, zero padded above the live layers; further
+    axes are independent columns. Valid only when the fine fractions are a
+    partition refinement of the coarse ones: every cumulative coarse
+    thickness meets a cumulative fine one within CONFORMAL_TOL, and the
+    totals agree. Padded fine layers map to the top coarse layer.
     """
-    cum_c = np.cumsum(l_coarse)
-    cum_f = np.cumsum(l_fine)
-    parent = np.empty(l_fine.size, dtype=np.int64)
-    k = 0
-    for a in range(l_fine.size):
-        if k >= l_coarse.size:
-            raise LayoutError("non-conformal layer split")
-        parent[a] = k
-        if abs(cum_f[a] - cum_c[k]) <= CONFORMAL_TOL:
-            k += 1
-        elif cum_f[a] > cum_c[k] + CONFORMAL_TOL:
-            raise LayoutError("non-conformal layer split")
-    if k != l_coarse.size:
+    cum_c = np.cumsum(l_coarse, axis=0)
+    cum_f = np.cumsum(l_fine, axis=0)
+    gap = np.expand_dims(cum_f, 1) - np.expand_dims(cum_c, 0)  # (n_f, n_c, ...)
+    if not (np.all(np.min(np.abs(gap), axis=0) <= CONFORMAL_TOL)
+            and np.all(np.abs(cum_f[-1] - cum_c[-1]) <= CONFORMAL_TOL)):
         raise LayoutError("non-conformal layer split")
-    return parent
+    return np.count_nonzero(gap > CONFORMAL_TOL, axis=1)
+
+
+def _remap_side(side, cells, n_half, l_half, n_int, l_int):
+    coarse = cells + side
+    parent = refine_parent(l_half[:, coarse], l_int[:, cells])  # (n_max, K)
+    rows = np.arange(l_half.shape[0])[None, :]
+    k, layer = np.nonzero(rows < n_int[cells][:, None])
+    ks, slot_layer = np.nonzero(rows < n_half[coarse][:, None])
+    start = np.cumsum(n_half[coarse]) - n_half[coarse]  # first slot of each cell
+    slot = start[k] + parent[layer, k]
+    first = np.searchsorted(slot, np.arange(slot_layer.size))
+    return RemapSide(side=side, layer=layer, cell=cells[k], parent=parent[layer, k],
+                     l_fine=l_int[layer, cells[k]], slot=slot,
+                     slot_layer=slot_layer, slot_cell=cells[ks],
+                     slot_first=layer[first], l_coarse=l_half[slot_layer, coarse[ks]])
 
 
 def build_layout(mesh, regions) -> LayerLayout:
@@ -97,82 +143,47 @@ def build_layout(mesh, regions) -> LayerLayout:
     first region with x <= x_upper (use np.inf for the last region).
     """
     x = mesh.x_iface
-    Mp1 = x.size
 
     if not isinstance(regions, (list, tuple)) or (
         len(regions) > 0 and np.isscalar(regions[0])
     ):
         tables = [_check_fractions(regions)]
-        region_of = np.zeros(Mp1, dtype=np.int64)
+        region_of = np.zeros(x.size, dtype=np.int64)
     else:
-        tables = []
-        bounds = []
-        for x_upper, frac in regions:
-            tables.append(_check_fractions(frac))
-            bounds.append(float(x_upper))
+        tables = [_check_fractions(frac) for _, frac in regions]
+        bounds = [float(x_upper) for x_upper, _ in regions]
         if bounds != sorted(bounds):
             raise LayoutError("region upper bounds must be increasing")
         region_of = np.searchsorted(np.asarray(bounds), x, side="left")
         if np.any(region_of >= len(tables)):
             raise LayoutError("regions do not cover the whole domain")
 
-    n_max = max(t.size for t in tables)
-    n_half = np.array([tables[r].size for r in region_of], dtype=np.int64)
-    l_half = np.zeros((n_max, Mp1))
-    for j in range(Mp1):
-        t = tables[region_of[j]]
-        l_half[: t.size, j] = t
+    sizes = np.array([t.size for t in tables], dtype=np.int64)
+    padded = np.zeros((sizes.max(), len(tables)))
+    for r, t in enumerate(tables):
+        padded[: t.size, r] = t
+    n_half = sizes[region_of]
+    l_half = np.ascontiguousarray(padded[:, region_of])  # row-major, like the fields
 
-    # validate transitions: conformal, none at adjacent interface pairs
-    pair_kind = np.zeros(Mp1 - 1, dtype=np.int64)  # 0 same, +1 right finer, -1 left finer
-    for i in range(Mp1 - 1):
-        jl, jr = i, i + 1
-        if region_of[jl] == region_of[jr]:
-            continue
-        tl, tr = tables[region_of[jl]], tables[region_of[jr]]
-        if tl.size == tr.size:
-            if np.array_equal(tl, tr):
-                continue
-            raise LayoutError(
-                "equal layer counts with different fraction tables are non-conformal"
-            )
-        if tl.size < tr.size:
-            refine_parent(tl, tr)
-            pair_kind[i] = 1
-        else:
-            refine_parent(tr, tl)
-            pair_kind[i] = -1
-    trans = pair_kind != 0
+    # transitions: conformal (refine_parent checks), none at adjacent pairs
+    kind = np.sign(n_half[1:] - n_half[:-1])  # +1 right finer, -1 left finer
+    if np.any((kind == 0) & np.any(l_half[:, 1:] != l_half[:, :-1], axis=0)):
+        raise LayoutError(
+            "equal layer counts with different fraction tables are non-conformal"
+        )
+    trans = kind != 0
     if np.any(trans[:-1] & trans[1:]):
         raise LayoutError("two consecutive layer-count transitions are not allowed")
 
     # cell-centered layout: copy from the interface with the larger count
-    M = Mp1 - 1
     n_int = np.maximum(n_half[:-1], n_half[1:])
-    l_int = np.zeros((n_max, M))
-    parent_left = np.tile(np.arange(n_max)[:, None], (1, M))
-    parent_right = parent_left.copy()
-    for i in range(M):
-        if n_half[i + 1] >= n_half[i]:
-            l_int[:, i] = l_half[:, i + 1]
-        else:
-            l_int[:, i] = l_half[:, i]
-        if pair_kind[i] == 1:   # left interface coarser than the cell
-            p = refine_parent(l_half[: n_half[i], i], l_int[: n_int[i], i])
-            parent_left[: p.size, i] = p
-        elif pair_kind[i] == -1:  # right interface coarser
-            p = refine_parent(l_half[: n_half[i + 1], i + 1], l_int[: n_int[i], i])
-            parent_right[: p.size, i] = p
+    l_int = np.where(kind >= 0, l_half[:, 1:], l_half[:, :-1])
+    sides = ((0, np.nonzero(kind == 1)[0]), (1, np.nonzero(kind == -1)[0]))
+    remap = tuple(_remap_side(side, cells, n_half, l_half, n_int, l_int)
+                  for side, cells in sides if cells.size)
 
-    return LayerLayout(
-        n_half=n_half,
-        l_half=l_half,
-        n_int=n_int,
-        l_int=l_int,
-        parent_left=parent_left,
-        parent_right=parent_right,
-        transition_cell=trans,
-    )
+    return LayerLayout(n_half=n_half, l_half=l_half, n_int=n_int, l_int=l_int,
+                       transition_cell=trans, remap=remap)
 
 
 def uniform_layout(mesh, n_layers: int) -> LayerLayout:

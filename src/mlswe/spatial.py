@@ -47,6 +47,45 @@ class Grid:
         mask.setflags(write=False)
         return mask
 
+    @cached_property
+    def advection_columns(self) -> tuple:
+        """Per column of `momentum_advection` (the M+1 interfaces; the M unique
+        ones, wrapping, if periodic): left/right neighbour exists, first order,
+        no upstream-left/right curvature; and per remap side the columns of
+        its entries' fine interfaces and of its slots' coarse ones."""
+        M, periodic = self.mesh.M, self.bounds.periodic
+        n = M if periodic else M + 1
+        jj = np.arange(n)
+
+        def at(j):  # interface indices -> columns: wrapped, or -1 past the ends
+            return j % n if periodic else np.where((j >= 0) & (j < n), j, -1)
+
+        trans = np.nonzero(self.layout.transition_cell)[0]
+        first_only = np.isin(jj, at(trans)) | np.isin(jj, at(trans + 1))
+        no_corr_m = (at(jj - 2) < 0) | np.isin(jj, at(trans + 2))
+        no_corr_p = (at(jj + 2) < 0) | np.isin(jj, at(trans - 1))
+        remap = tuple((at(s.cell + 1 - s.side), at(s.slot_cell + s.side))
+                      for s in self.layout.remap)
+        return at(jj - 1) >= 0, at(jj + 1) >= 0, first_only, no_corr_m, no_corr_p, remap
+
+    def __post_init__(self):
+        """Reject boundary input that does not fit the layout."""
+        layout, bounds, M = self.layout, self.bounds, self.mesh.M
+        if bounds.periodic:
+            ends = [layout.l_half[: layout.n_half[j], j] for j in (0, M)]
+            if not np.array_equal(*ends):
+                raise ValueError("periodic bounds need the same layer fractions at "
+                                 f"interfaces 0 and {M}, got {ends[0]} and {ends[1]}")
+            if layout.transition_cell[0] and layout.transition_cell[-1]:
+                raise ValueError("two consecutive layer-count transitions "
+                                 "across the periodic wrap are not allowed")
+        for side, cond, j in (("left", bounds.left, 0), ("right", bounds.right, M)):
+            rho = getattr(cond, "rho", None)  # the inflow profile of open boundaries
+            if rho is not None and np.shape(rho(0.0)) != (layout.n_half[j],):
+                raise ValueError(f"{side} {type(cond).__name__} rho(t) has shape "
+                                 f"{np.shape(rho(0.0))}, but the {side} boundary "
+                                 f"interface has {layout.n_half[j]} layers")
+
 
 def upwind_interface(left, right, carrier):
     """Upwind selection: carrier > 0 picks left, < 0 picks right, exact zero
@@ -116,41 +155,30 @@ def boundary_values(state: State, grid: Grid, t: float):
 # interface scalars
 
 
-def _restrict_column(values, l_fine, parent, l_coarse, n_coarse):
-    """Thickness-weighted restriction of a fine cell column onto the coarser
-    interface layering."""
-    out = np.zeros(n_coarse)
-    np.add.at(out, parent, l_fine * values)
-    return out / l_coarse[:n_coarse]
-
-
 def interface_cell_scalars(rho_g, grid: Grid):
     """Cell densities seen from each interface, in that interface's layering.
 
     Returns (rho_L, rho_R), each (n_max, M+1). Away from layer-count
-    transitions these are plain neighbour copies.
+    transitions these are plain neighbour copies; a coarse interface of a
+    transition cell sees the restriction of the cell's column.
     """
-    layout = grid.layout
-    M = grid.mesh.M
     rho_L = rho_g[:, :-1].copy()
     rho_R = rho_g[:, 1:].copy()
-    if layout.uniform:
-        return rho_L, rho_R
-    n_half, n_int = layout.n_half, layout.n_int
-    for i in np.nonzero(layout.transition_cell)[0]:
-        if n_int[i] > n_half[i]:  # left interface coarser: cell i feeds rho_R[:, i]
-            ni, nc = n_int[i], n_half[i]
-            rho_R[:, i] = 0.0
-            rho_R[:nc, i] = _restrict_column(
-                rho_g[:ni, i + 1], layout.l_int[:ni, i],
-                layout.parent_left[:ni, i], layout.l_half[:, i], nc)
-        if n_int[i] > n_half[i + 1]:  # right interface coarser
-            ni, nc = n_int[i], n_half[i + 1]
-            rho_L[:, i + 1] = 0.0
-            rho_L[:nc, i + 1] = _restrict_column(
-                rho_g[:ni, i + 1], layout.l_int[:ni, i],
-                layout.parent_right[:ni, i], layout.l_half[:, i + 1], nc)
+    rho = rho_g[:, 1:-1]
+    for side in grid.layout.remap:
+        out = side.at_coarse((rho_R, rho_L)[side.side])
+        out[:, side.cell] = 0.0
+        out[side.slot_layer, side.slot_cell] = side.restrict(rho[side.layer, side.cell])
+    _alias_periodic(rho_L, rho_R, grid)
     return rho_L, rho_R
+
+
+def _alias_periodic(left, right, grid: Grid):
+    """On a periodic grid interface M is interface 0: the left-neighbour
+    values of both come from column M, the right-neighbour values from 0."""
+    if grid.bounds.periodic:
+        left[:, 0] = left[:, -1]
+        right[:, -1] = right[:, 0]
 
 
 @dataclass
@@ -221,22 +249,13 @@ def _cell_layer_flux(per_layer_iface, extra_iface, grid: Grid):
     fraction so transition cells can reweight with their own fractions.
     Returns (left, right) of shape (n_max, M).
     """
-    layout = grid.layout
     left = per_layer_iface[:, :-1].copy()
     right = per_layer_iface[:, 1:].copy()
-    if layout.uniform:
-        return left, right
-    n_half, n_int = layout.n_half, layout.n_int
-    for i in np.nonzero(layout.transition_cell)[0]:
-        ni = n_int[i]
-        if ni > n_half[i]:
-            p = layout.parent_left[:ni, i]
-            left[:ni, i] = layout.l_int[:ni, i] * extra_iface[p, i]
-            left[ni:, i] = 0.0
-        if ni > n_half[i + 1]:
-            p = layout.parent_right[:ni, i]
-            right[:ni, i] = layout.l_int[:ni, i] * extra_iface[p, i + 1]
-            right[ni:, i] = 0.0
+    for side in grid.layout.remap:
+        out = (left, right)[side.side]
+        out[:, side.cell] = 0.0
+        out[side.layer, side.cell] = side.l_fine * side.at_coarse(extra_iface)[
+            side.parent, side.cell]
     return left, right
 
 
@@ -317,51 +336,21 @@ def vertical_density_term(rho_stage, G, grid: Grid) -> np.ndarray:
 def momentum_advection(fs: FieldSet, grid: Grid, limiter: bool) -> np.ndarray:
     """u * du/dx at the velocity points, upstream-biased second order with an
     optional minmod blend toward first-order upwind."""
-    layout, mesh = grid.layout, grid.mesh
-    u = fs.u
-    n_max, M = layout.n_max, mesh.M
-    periodic = grid.bounds.periodic
-
-    if periodic:
-        uu = u[:, :M]  # unique columns
-        um1 = np.roll(uu, 1, axis=1)
-        um2 = np.roll(uu, 2, axis=1)
-        up1 = np.roll(uu, -1, axis=1)
-        up2 = np.roll(uu, -2, axis=1)
-        vm1 = vm2 = vp1 = vp2 = np.ones(M, dtype=bool)
-        dxh = mesh.dx_half[:M]
-        ucol = uu
-    else:
-        pad = np.zeros((n_max, 1))
-        um1 = np.hstack([pad, u[:, :-1]])
-        um2 = np.hstack([pad, pad, u[:, :-2]])
-        up1 = np.hstack([u[:, 1:], pad])
-        up2 = np.hstack([u[:, 2:], pad, pad])
-        jj = np.arange(M + 1)
-        vm1, vm2 = jj >= 1, jj >= 2
-        vp1, vp2 = jj <= M - 1, jj <= M - 2
-        dxh = mesh.dx_half
-        ucol = u
-
-    first_only = np.zeros(ucol.shape[1], dtype=bool)
-    no_corr_m = np.zeros(ucol.shape[1], dtype=bool)  # upstream-left curvature unusable
-    no_corr_p = np.zeros(ucol.shape[1], dtype=bool)
-    if not layout.uniform:
-        n_half, n_int = layout.n_half, layout.n_int
-        for i in np.nonzero(layout.transition_cell)[0]:
-            # remap single-hop neighbours across the transition pair (i, i+1)
-            if i + 1 < um1.shape[1]:
-                um1[:, i + 1] = _map_between_ifaces(u[:, i], grid, i, i + 1)
-            up1[:, i] = _map_between_ifaces(u[:, i + 1], grid, i + 1, i)
-            for j in (i, i + 1):
-                if j < first_only.size:
-                    first_only[j] = True
-            if i + 2 < no_corr_m.size:
-                no_corr_m[i + 2] = True
-            if i - 1 >= 0:
-                no_corr_p[i - 1] = True
-    no_corr_m |= ~vm2
-    no_corr_p |= ~vp2
+    layout, u = grid.layout, fs.u
+    vm1, vp1, first_only, no_corr_m, no_corr_p, remap = grid.advection_columns
+    n = vm1.size
+    ends = ((u[:, n - 2:n], u[:, :2]) if n == grid.mesh.M  # periodic: wrap
+            else (np.zeros((layout.n_max, 2)),) * 2)
+    u_pad = np.hstack([ends[0], u[:, :n], ends[1]])
+    um2, um1, ucol, up1, up2 = (u_pad[:, k:k + n] for k in range(5))
+    um1, up1, dxh = um1.copy(), up1.copy(), grid.mesh.dx_half[:n]  # remapped below
+    for side, (fine, coarse) in zip(layout.remap, remap):
+        # neighbours across a transition cell, each in the other's layering
+        toward_coarse, toward_fine = (um1, up1) if side.side == 0 else (up1, um1)
+        toward_coarse[:, fine] = 0.0
+        toward_coarse[side.layer, fine] = side.at_coarse(u)[side.parent, side.cell]
+        toward_fine[:, coarse] = 0.0
+        toward_fine[side.slot_layer, coarse] = side.restrict(u[side.layer, fine])
 
     d1 = ucol - um1          # backward difference
     d0 = um1 - um2
@@ -390,34 +379,9 @@ def momentum_advection(fs: FieldSet, grid: Grid, limiter: bool) -> np.ndarray:
 
     slope = np.where(ucol > 0.0, s_pos, np.where(ucol < 0.0, s_neg, 0.0))
     adv = ucol * slope
-    if periodic:
-        out = np.zeros((n_max, M + 1))
-        out[:, :M] = adv
-        out[:, M] = adv[:, 0]
-        return out
+    if n == grid.mesh.M:  # periodic: the alias column M repeats column 0
+        adv = np.concatenate([adv, adv[:, :1]], axis=1)
     return adv
-
-
-def _map_between_ifaces(col, grid: Grid, j_from, j_to):
-    """Map a velocity column from interface j_from's layering to j_to's.
-
-    The two interfaces must be adjacent (they span one transition cell)."""
-    layout = grid.layout
-    i = min(j_from, j_to)  # the cell between them
-    nf, nt = layout.n_half[j_from], layout.n_half[j_to]
-    parent = layout.parent_left if j_from == i else layout.parent_right
-    parent_to = layout.parent_left if j_to == i else layout.parent_right
-    out = np.zeros_like(col)
-    if nf == nt:
-        return col.copy()
-    if nf < nt:  # expand: copy parent values (cell layering == j_to layering)
-        p = parent[:nt, i]
-        out[:nt] = col[p]
-    else:        # restrict: thickness-weighted average (cell layering == j_from)
-        p = parent_to[:nf, i]
-        out[:nt] = _restrict_column(col[:nf], layout.l_int[:nf, i], p,
-                                    layout.l_half[:, j_to], nt)
-    return out
 
 
 def baroclinic_gradient(fs: FieldSet, grid: Grid) -> np.ndarray:
@@ -458,35 +422,15 @@ def momentum_transfer_term(fs: FieldSet, G: np.ndarray, grid: Grid) -> np.ndarra
 def _transfer_at_velocity_points(G, grid: Grid):
     """Average the cell-centered transfer field to the velocity points,
     remapping vertical-interface indices across layer-count transitions."""
-    layout = grid.layout
-    M = grid.mesh.M
-    GL = np.empty((G.shape[0], M + 1))
-    GR = np.empty_like(GL)
-    GL[:, 1:] = G
-    GL[:, 0] = G[:, 0]
-    GR[:, :-1] = G
-    GR[:, M] = G[:, M - 1]
-    if grid.bounds.periodic:
-        GL[:, 0] = G[:, M - 1]
-        GR[:, M] = G[:, 0]
-    if not layout.uniform:
-        n_half, n_int = layout.n_half, layout.n_int
-        for i in np.nonzero(layout.transition_cell)[0]:
-            if n_int[i] > n_half[i]:
-                # interface i is coarse; its right cell i is finer
-                vmap = _vertical_map(layout.parent_left[: n_int[i], i], n_half[i])
-                GR[:, i] = 0.0
-                GR[: vmap.size, i] = G[vmap, i]
-            if n_int[i] > n_half[i + 1]:
-                vmap = _vertical_map(layout.parent_right[: n_int[i], i], n_half[i + 1])
-                GL[:, i + 1] = 0.0
-                GL[: vmap.size, i + 1] = G[vmap, i]
+    GL = np.concatenate([G[:, :1], G], axis=1)   # the cell left of each
+    GR = np.concatenate([G, G[:, -1:]], axis=1)  # interface, or beside a wall
+    for side in grid.layout.remap:
+        # the cell's top interface G[n_int] is zero, as above each coarse column
+        out = side.at_coarse((GR, GL)[side.side])
+        out[:, side.cell] = 0.0
+        out[side.slot_layer, side.slot_cell] = G[side.slot_first, side.slot_cell]
+    _alias_periodic(GL, GR, grid)
     return 0.5 * (GL + GR)
-
-
-def _vertical_map(parent, n_coarse):
-    """Indices of the fine vertical interfaces matching each coarse one."""
-    return np.searchsorted(parent, np.arange(n_coarse + 1), side="left")
 
 
 # ---------------------------------------------------------------------------

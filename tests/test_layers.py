@@ -43,8 +43,10 @@ def test_two_region_layout(mesh):
     i = trans[0]
     assert layout.n_int[i] == 2
     assert np.allclose(layout.l_int[:, i], [0.5, 0.5])
-    # parent maps on the coarse side collapse both children to layer 0
-    assert layout.parent_left[:2, i].tolist() == [0, 0]
+    # the remap on the coarse (left) side collapses both children to layer 0
+    side, = layout.remap
+    assert side.side == 0 and side.cell.tolist() == [i, i]
+    assert side.parent.tolist() == [0, 0]
     # fraction columns always partition unity on live layers
     assert np.allclose(np.sum(layout.l_int, axis=0), 1.0)
     assert np.allclose(np.sum(layout.l_half, axis=0), 1.0)
@@ -56,6 +58,39 @@ def test_two_region_layout(mesh):
                           np.arange(2)[:, None] < layout.n_int[None, :])
     with pytest.raises(ValueError):
         layout.active_int()[1, 0] = True
+
+
+def test_remap_on_both_sides(mesh):
+    """2 -> 4 -> 2 layers: the left transition cell has its coarse interface
+    on the left, the right one on the right."""
+    layout = build_layout(mesh, [(0.25, [0.5, 0.5]), (0.65, [0.1, 0.4, 0.3, 0.2]),
+                                 (np.inf, [0.5, 0.5])])
+    left, right = layout.remap
+    assert (left.side, right.side) == (0, 1)
+    assert left.cell.tolist() == [2] * 4 and right.cell.tolist() == [6] * 4
+    for side in layout.remap:
+        assert side.layer.tolist() == [0, 1, 2, 3]
+        assert side.parent.tolist() == [0, 0, 1, 1]
+        assert side.slot.tolist() == [0, 0, 1, 1]
+        assert np.array_equal(side.l_fine, [0.1, 0.4, 0.3, 0.2])
+        assert side.slot_layer.tolist() == [0, 1]
+        assert side.slot_first.tolist() == [0, 2]
+        assert np.array_equal(side.l_coarse, [0.5, 0.5])
+        # thickness-weighted mean, and a constant restricts to itself
+        assert np.allclose(side.restrict(np.array([1.0, 2.0, 3.0, 4.0])),
+                           [(0.1 + 0.8) / 0.5, (0.9 + 0.8) / 0.5])
+        assert np.all(side.restrict(np.full(4, 0.03)) == 0.03)
+    # column i of the view is the coarse interface of cell i
+    a = np.arange(11)[None, :]
+    assert left.at_coarse(a)[0, 2] == 2 and right.at_coarse(a)[0, 6] == 7
+
+
+def test_refine_parent_by_columns():
+    coarse = np.array([[0.5, 1.0], [0.5, 0.0]])
+    fine = np.array([[0.25, 0.5], [0.25, 0.5], [0.5, 0.0]])
+    assert refine_parent(coarse, fine).tolist() == [[0, 0], [0, 0], [1, 0]]
+    with pytest.raises(LayoutError):
+        refine_parent(coarse, np.array([[0.25, 0.5], [0.75, 0.5]]))
 
 
 def test_invalid_layouts_rejected(mesh):

@@ -309,3 +309,100 @@ def test_dry_state_raises():
     st.eta[3] = -1.0
     with pytest.raises(DryStateError):
         prepare_fields(st, grid, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# periodic layer-count transitions
+
+
+def _band_problem(start, current, M=40, width=11):
+    """Periodic [0, 1] with 2 layers and a 4-layer band on interfaces
+    start .. start+width-1 (mod M); smooth waves on a uniform current."""
+    mesh = build_mesh(0.0, 1.0, M)
+    fine = np.isin(np.arange(M + 1) % M, (start + np.arange(width)) % M)
+    table = {False: [0.5, 0.5], True: [0.25] * 4}
+    regions = [(mesh.x_iface[j] + 0.5 / M, table[fine[j]])
+               for j in np.nonzero(fine[1:] != fine[:-1])[0]]
+    layout = build_layout(mesh, regions + [(np.inf, table[fine[M]])])
+    grid = Grid(mesh=mesh, layout=layout, params=PhysParams(), bounds=periodic())
+    # the waves travel with the band: phases measured from its first interface
+    xc = mesh.x_center - mesh.x_iface[start]
+    xi = mesh.x_iface - mesh.x_iface[start]
+    k = np.arange(layout.n_max)[:, None]
+    st = rest_state(mesh, layout, eta0=1.0)
+    st.eta = st.eta + 0.01 * np.sin(2 * np.pi * xc)
+    u = current + 0.02 * np.sin(2 * np.pi * xi + 0.7 * k)
+    u[:, M] = u[:, 0]
+    st.u = np.where(layout.active_half(), u, 0.0)
+    rho = 0.005 * (1.0 + np.sin(4 * np.pi * xc + 0.3 * k))
+    st.rho = np.where(layout.active_int(), rho, 0.0)
+    return grid, st
+
+
+@pytest.mark.parametrize("current", [0.05, -0.05])
+@pytest.mark.parametrize("start", [0, 1, 29, 30])
+def test_periodic_transition_is_independent_of_the_cut(start, current):
+    """A band whose transition cells sit at the ends of the cell range
+    (cell 0 or M-1, either side coarse) evolves like the same band inside
+    the domain, shifted."""
+    from mlswe import IMEXIntegrator
+
+    def run(s):
+        grid, st = _band_problem(s, current)
+        integ = IMEXIntegrator(grid)
+        for n in range(20):
+            st = integ.step(st, n * 0.002, 0.002)
+        return grid, st
+
+    grid, ref = run(10)
+    grid_s, got = run(start)
+    M, shift = grid.mesh.M, start - 10
+    trans = np.nonzero(grid_s.layout.transition_cell)[0]
+    assert {0, M - 1} & set(trans.tolist())
+    assert np.array_equal(grid_s.layout.n_int, np.roll(grid.layout.n_int, shift))
+    err = max(np.max(np.abs(np.roll(ref.eta, shift) - got.eta)),
+              np.max(np.abs(np.roll(ref.u[:, :M], shift, axis=1) - got.u[:, :M])),
+              np.max(np.abs(np.roll(ref.rho, shift, axis=1) - got.rho)))
+    assert err <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# boundary input checked against the layout when the grid is built
+
+
+@pytest.mark.parametrize("side, cond, message", [
+    ("left", Discharge(q=lambda t: 0.1, rho=lambda t: np.zeros(1)),
+     r"left Discharge rho\(t\) has shape \(1,\), but the left boundary "
+     r"interface has 3 layers"),
+    ("right", Elevation(eta=lambda t: 0.4, rho=lambda t: np.zeros(7)),
+     r"right Elevation rho\(t\) has shape \(7,\), but the right boundary "
+     r"interface has 3 layers"),
+    ("right", Elevation(eta=lambda t: 0.4, rho=lambda t: 0.0),
+     r"right Elevation rho\(t\) has shape \(\)"),
+])
+def test_grid_rejects_boundary_density_of_the_wrong_length(side, cond, message):
+    bounds = Boundaries(cond, Wall()) if side == "left" else Boundaries(Wall(), cond)
+    with pytest.raises(ValueError, match=message):
+        make_grid(bounds=bounds)
+
+
+def test_tidal_case_rejects_a_short_boundary_density_profile():
+    from mlswe import build_problem, case_tidal
+    spec = case_tidal("uniform")
+    bounds = Boundaries(Discharge(q=spec.bounds.left.q, rho=lambda t: np.zeros(1)),
+                        spec.bounds.right)
+    with pytest.raises(ValueError, match="left Discharge .* has 10 layers"):
+        build_problem(spec.with_options(bounds=bounds))
+
+
+@pytest.mark.parametrize("layers, message", [
+    ([(0.5, [0.5, 0.5]), (np.inf, [0.25] * 4)],
+     r"interfaces 0 and 16, got \[0.5 0.5\] and \[0.25 0.25 0.25 0.25\]"),
+    ([(0.3, [0.5, 0.5]), (0.6, [0.25, 0.25, 0.5]), (np.inf, [0.25, 0.75])],
+     r"interfaces 0 and 16, got \[0.5 0.5\] and \[0.25 0.75\]"),
+    ([(0.5 / 16, [0.25] * 4), (1.0 - 0.5 / 16, [0.5, 0.5]), (np.inf, [0.25] * 4)],
+     "consecutive layer-count transitions across the periodic wrap"),
+])
+def test_grid_rejects_periodic_layouts_that_differ_at_the_wrap(layers, message):
+    with pytest.raises(ValueError, match=message):
+        make_grid(layers=layers, bounds=periodic())

@@ -53,6 +53,19 @@ def _periodic_viscous():
     return grid, m.rest_state(mesh, layout, eta0=1.0)
 
 
+def three_region_basin(ends, middle):
+    """Closed basin on [0, 1] whose middle region (0.33 < x <= 0.67, bounds
+    off the interfaces) uses the fraction table `middle` and both ends
+    `ends`, with a bottom bump and a density front inside the middle."""
+    mesh = m.build_mesh(0.0, 1.0, 40,
+                        bathymetry=lambda x: 0.2 * np.exp(-((x - 0.45) / 0.1) ** 2))
+    layout = m.build_layout(mesh, [(0.33, ends), (0.67, middle), (np.inf, ends)])
+    grid = m.Grid(mesh=mesh, layout=layout, params=m.PhysParams(nu=1e-4))
+    state = m.rest_state(mesh, layout, eta0=1.0)
+    state.rho = np.where(layout.active_int() & (mesh.x_center > 0.55), 0.02, 0.0)
+    return grid, state
+
+
 def reference_runs():
     """name -> (integrator, limiter, grid, start state, t0, dt, steps)."""
     runs = {}
@@ -70,6 +83,16 @@ def reference_runs():
     grid, state = _periodic_viscous()
     runs["periodic_viscous"] = ("imex", False, grid,
                                 _perturb(grid, state, 0.01, 0.05, 0.02), 0.0, 0.01, 5)
+    # both orientations of a layer-count transition: coarse ends around a
+    # fine middle (2 -> 4 -> 2 layers) and the mirror (4 -> 2 -> 4)
+    halves, quarters = [0.5, 0.5], [0.25] * 4
+    grid, state = three_region_basin(halves, quarters)
+    state = _perturb(grid, state, 0.01, 0.05, 0.005)
+    runs["basin_242"] = ("imex", False, grid, state, 0.0, 0.01, 5)
+    runs["basin_242_rk3"] = ("rk3", True, grid, state, 0.0, 0.004, 5)
+    grid, state = three_region_basin(quarters, halves)
+    runs["basin_424"] = ("imex", True, grid,
+                         _perturb(grid, state, 0.01, 0.05, 0.005), 0.0, 0.01, 5)
     return runs
 
 
