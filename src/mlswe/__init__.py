@@ -18,7 +18,7 @@ from .layers import LayerLayout, LayoutError, build_layout, uniform_layout
 from .linear import (AssembledA, LinearModel, assemble_A,
                      characteristic_residual, hyperbolicity_check, spectrum)
 from .mesh import Mesh1D, build_mesh
-from .spatial import Grid, compute_tendencies, diagnostic_w
+from .spatial import Grid, compute_tendencies
 from .state import (DryStateError, PhysParams, State, WallFriction, Wind,
                     rest_state, total_density_mass, total_volume)
 
@@ -33,7 +33,7 @@ __all__ = [
     "LayerLayout", "LayoutError", "build_layout", "uniform_layout",
     "AssembledA", "LinearModel", "assemble_A", "characteristic_residual",
     "hyperbolicity_check", "spectrum", "Mesh1D", "build_mesh", "Grid",
-    "compute_tendencies", "diagnostic_w", "DryStateError", "PhysParams",
+    "compute_tendencies", "DryStateError", "PhysParams",
     "State", "WallFriction", "Wind", "rest_state", "total_density_mass",
     "total_volume",
 ]

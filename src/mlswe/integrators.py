@@ -26,12 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .bc import Discharge, Elevation, Wall
-from .spatial import (Grid, ViscousCoeffs, boundary_values, compute_tendencies,
-                      density_rhs_flux, free_surface_rhs, mass_transfer,
-                      momentum_nonstiff, momentum_stiff, prepare_fields,
-                      vertical_density_term, viscous_coefficients,
-                      with_height)
+from .spatial import (Grid, ViscousCoeffs, boundary_velocities,
+                      compute_tendencies, density_rhs_flux, free_surface_rhs,
+                      ghost_elevation, mass_transfer, momentum_nonstiff,
+                      momentum_stiff, prepare_fields, vertical_density_term,
+                      viscous_coefficients, with_height)
 from .state import State
 
 SQRT2 = np.sqrt(2.0)
@@ -290,46 +289,27 @@ def implicit_stage_solve(grid: Grid, ws: ImplicitWorkspace,
     rhs_u = np.where(layout.active_half(), u_expl + gd * ws.k_const, 0.0)
     u_hat = rhs_u if ws.coeffs.trivial else _thomas(ws.sub, ws.diag, ws.sup, rhs_u)
 
+    # column flux K + W * (jump of eta) at each interface; an end of
+    # prescribed discharge fixes it to its flux, free of eta
     K = ws.h_half * np.sum(layout.l_half * u_hat, axis=0)
-    W = ws.W
-
-    bounds = grid.bounds
-    eta_bc = {}
-    if bounds.periodic:
-        Wl = W[:M]                      # interface i (left of cell i), col M aliases 0
-        Wr = W[1:M + 1].copy()
-        Wr[-1] = W[0]
-        Kl = K[:M].copy()
-        Kr = K[1:M + 1].copy()
-        Kr[-1] = K[0]
-        fac = gd / mesh.dx
-        lower = -fac * Wl
-        upper = -fac * Wr
-        diag = 1.0 + fac * (Wl + Wr)
-        rhs = eta_expl - fac * (Kr - Kl)
+    W = ws.W.copy()
+    for end in grid.discharge_ends:
+        K[end.iface], W[end.iface] = end.flux(t_stage), 0.0
+    periodic = grid.bounds.periodic
+    if periodic:
+        K[M], W[M] = K[0], W[0]  # interface M aliases interface 0
+    fac = gd / mesh.dx
+    lower = -fac * W[:M]
+    upper = -fac * W[1:]
+    diag = 1.0 + fac * (W[:M] + W[1:])
+    rhs = eta_expl - fac * (K[1:] - K[:M])
+    if periodic:
         eta = _cyclic_tridiag(lower, diag, upper, rhs)
     else:
-        W = W.copy()
-        for side, j, cond in (("left", 0, bounds.left), ("right", M, bounds.right)):
-            if isinstance(cond, Wall):
-                K[j] = 0.0
-                W[j] = 0.0
-            elif isinstance(cond, Discharge):
-                K[j] = cond.q(t_stage) if side == "left" else -cond.q(t_stage)
-                W[j] = 0.0
-            elif isinstance(cond, Elevation):
-                eta_bc[j] = cond.eta(t_stage)
-        fac = gd / mesh.dx
-        lower = -fac * W[:M]
-        upper = -fac * W[1:]
-        diag = 1.0 + fac * (W[:M] + W[1:])
-        rhs = eta_expl - fac * (K[1:] - K[:M])
-        # Dirichlet ghosts from elevation boundaries move to the RHS;
-        # walls/discharges already have W = 0 at their interface
-        if 0 in eta_bc:
-            rhs[0] += fac[0] * W[0] * eta_bc[0]
-        if M in eta_bc:
-            rhs[-1] += fac[-1] * W[M] * eta_bc[M]
+        # Dirichlet ghosts move to the RHS; only elevation ends have W != 0
+        eta_g = ghost_elevation(eta_expl, grid, t_stage)
+        rhs[0] += fac[0] * W[0] * eta_g[0]
+        rhs[-1] += fac[-1] * W[M] * eta_g[-1]
         ab = np.zeros((3, M))
         ab[0, 1:] = upper[:-1]
         ab[1, :] = diag
@@ -337,19 +317,9 @@ def implicit_stage_solve(grid: Grid, ws: ImplicitWorkspace,
         eta = sla.solve_banded((1, 1), ab, rhs)
 
     # back-substitute the velocities
-    d_eta = np.zeros(M + 1)
-    d_eta[1:M] = eta[1:] - eta[:-1]
-    if bounds.periodic:
-        d_eta[0] = eta[0] - eta[-1]
-        d_eta[M] = d_eta[0]
-    else:
-        if 0 in eta_bc:
-            d_eta[0] = eta[0] - eta_bc[0]
-        if M in eta_bc:
-            d_eta[M] = eta_bc[M] - eta[-1]
-    u = u_hat - d_eta[None, :] * ws.w_hat
+    u = u_hat - np.diff(ghost_elevation(eta, grid, t_stage))[None, :] * ws.w_hat
     u = np.where(grid.evolved_u, u, 0.0)
-    if bounds.periodic:
+    if periodic:
         u[:, M] = u[:, 0]
     return eta, u
 
@@ -386,15 +356,7 @@ def implicit_residual(grid: Grid, ws: ImplicitWorkspace, eta_expl, u_expl,
     gd = ws.gamma_dt
     act = grid.evolved_u
 
-    eta_g = np.empty(M + 2)
-    eta_g[1:-1] = eta
-    bounds = grid.bounds
-    if bounds.periodic:
-        eta_g[0], eta_g[-1] = eta[-1], eta[0]
-    else:
-        eta_g[0] = bounds.left.eta(t_stage) if isinstance(bounds.left, Elevation) else eta[0]
-        eta_g[-1] = bounds.right.eta(t_stage) if isinstance(bounds.right, Elevation) else eta[-1]
-    grad = g * (eta_g[1:] - eta_g[:-1]) / mesh.dx_half
+    grad = g * np.diff(ghost_elevation(eta, grid, t_stage)) / mesh.dx_half
 
     # A u + k via the stored tridiagonal of (I - gd A)
     up = np.vstack([u[1:, :], np.zeros((1, u.shape[1]))])
@@ -404,12 +366,8 @@ def implicit_residual(grid: Grid, ws: ImplicitWorkspace, eta_expl, u_expl,
     res_u = np.where(act, res_u, 0.0)
 
     F = ws.h_half * np.sum(layout.l_half * u, axis=0)
-    if not bounds.periodic:
-        for side, j, cond in (("left", 0, bounds.left), ("right", M, bounds.right)):
-            if isinstance(cond, Wall):
-                F[j] = 0.0
-            elif isinstance(cond, Discharge):
-                F[j] = cond.q(t_stage) if side == "left" else -cond.q(t_stage)
+    for end in grid.discharge_ends:
+        F[end.iface] = end.flux(t_stage)
     res_eta = eta - eta_expl + gd * (F[1:] - F[:M]) / mesh.dx
     return float(max(np.max(np.abs(res_u)), np.max(np.abs(res_eta))))
 
@@ -481,7 +439,7 @@ class IMEXIntegrator:
         if np.any(h2 <= grid.h_min) or not np.all(np.isfinite(eta2)):
             raise StepFailure("implicit stage produced a dry or non-finite state")
 
-        u2f = boundary_values(State(eta2, u2, rho1), grid, t2)[0]
+        u2f = boundary_velocities(State(eta2, u2, rho1), grid, t2)
         ustar2 = ai[1, 1] * u2f + ai[1, 0] * u1f
         flux_s2 = density_rhs_flux(rho1_g, ustar2, fs_n, grid)
         vert1 = vertical_density_term(rho1, G1, grid)
@@ -504,7 +462,7 @@ class IMEXIntegrator:
         if np.any(h3 <= grid.h_min) or not np.all(np.isfinite(eta3)):
             raise StepFailure("implicit stage produced a dry or non-finite state")
 
-        u3f = boundary_values(State(eta3, u3, rho2), grid, t3)[0]
+        u3f = boundary_velocities(State(eta3, u3, rho2), grid, t3)
         ustar3 = ai[2, 2] * u3f + ai[2, 1] * u2f
         flux_s3 = density_rhs_flux(rho2_g, ustar3, fs_n, grid)
         vert2 = vertical_density_term(rho2, G2, grid)

@@ -13,13 +13,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .bc import Boundaries, Discharge, Elevation, Wall, closed
+from .bc import Boundaries, closed
 from .layers import LayerLayout
 from .mesh import Mesh1D
 from .state import H_MIN_DEFAULT, DryStateError, PhysParams, State
+
+
+class End(NamedTuple):
+    """One end of the domain as the operators see it."""
+
+    cond: object   # its boundary condition
+    iface: int     # the boundary interface
+    ghost: int     # the ghost column of the (M+2)-wide ghost-extended arrays
+    cell: int      # the cell through the boundary (the far end if periodic)
+    sign: float    # inflow direction: +1 at the left end, -1 at the right
+
+    def flux(self, t: float) -> float:
+        """The prescribed column flux across the boundary interface, in +x."""
+        return self.sign * self.cond.discharge(t)
 
 
 @dataclass(frozen=True)
@@ -33,16 +48,36 @@ class Grid:
     h_min: float = H_MIN_DEFAULT
 
     @cached_property
+    def ends(self) -> tuple:
+        """The left and the right `End`."""
+        M, periodic = self.mesh.M, self.bounds.periodic
+        return (End(self.bounds.left, 0, 0, M - 1 if periodic else 0, 1.0),
+                End(self.bounds.right, M, M + 1, 0 if periodic else M - 1, -1.0))
+
+    @cached_property
+    def discharge_ends(self) -> tuple:
+        """The ends whose column discharge is prescribed (walls included)."""
+        return tuple(end for end in self.ends if end.cond.discharge is not None)
+
+    @cached_property
+    def b_g(self) -> np.ndarray:
+        """Read-only (M+2,) bathymetry; each ghost repeats the cell through
+        its boundary."""
+        left, right = self.ends
+        b_g = self.mesh.b[np.r_[left.cell, :self.mesh.M, right.cell]]
+        b_g.setflags(write=False)
+        return b_g
+
+    @cached_property
     def evolved_u(self) -> np.ndarray:
         """Read-only (n_max, M+1) mask of the prognostic velocities: live
-        layers at every interface except the periodic alias and wall or
-        discharge boundaries, whose velocities are prescribed."""
+        layers at every interface except the periodic alias and the ends of
+        prescribed discharge (walls included)."""
         evolved = np.ones(self.mesh.M + 1, dtype=bool)
+        for end in self.discharge_ends:
+            evolved[end.iface] = False
         if self.bounds.periodic:
             evolved[-1] = False  # alias of column 0
-        else:
-            evolved[0] = isinstance(self.bounds.left, Elevation)
-            evolved[-1] = isinstance(self.bounds.right, Elevation)
         mask = evolved[None, :] & self.layout.active_half()
         mask.setflags(write=False)
         return mask
@@ -102,53 +137,41 @@ def minmod(a, b):
 # boundary handling
 
 
+def boundary_velocities(state: State, grid: Grid, t: float) -> np.ndarray:
+    """state.u with its boundary columns filled: a prescribed discharge as
+    one velocity over the boundary layers, and the periodic alias column."""
+    u = state.u.copy()
+    for end in grid.discharge_ends:
+        nb, i = grid.layout.n_half[end.iface], end.cell
+        u[:nb, end.iface] = end.flux(t) / (state.eta[i] - grid.mesh.b[i])
+        u[nb:, end.iface] = 0.0
+    if grid.bounds.periodic:
+        u[:, -1] = u[:, 0]
+    return u
+
+
+def ghost_elevation(eta, grid: Grid, t: float) -> np.ndarray:
+    """eta with one ghost cell at each end, (M+2,)."""
+    eta_g = np.empty(eta.size + 2)
+    eta_g[1:-1] = eta
+    for end in grid.ends:
+        eta_g[end.ghost] = end.cond.ghost_eta(t, eta[end.cell])
+    return eta_g
+
+
 def boundary_values(state: State, grid: Grid, t: float):
     """Fill boundary velocity columns and build ghost-cell arrays.
 
     Returns (u_full, eta_g, rho_g, b_g) where ghost arrays have length M+2
     (index 0 = left ghost, M+1 = right ghost).
     """
-    mesh, layout, bounds = grid.mesh, grid.layout, grid.bounds
-    M = mesh.M
-    n_max = layout.n_max
-
-    u_full = state.u.copy()
-    eta_g = np.empty(M + 2)
-    rho_g = np.zeros((n_max, M + 2))
-    b_g = np.empty(M + 2)
-    eta_g[1:-1] = state.eta
+    rho_g = np.zeros((grid.layout.n_max, grid.mesh.M + 2))
     rho_g[:, 1:-1] = state.rho
-    b_g[1:-1] = mesh.b
-
-    if bounds.periodic:
-        u_full[:, M] = u_full[:, 0]
-        eta_g[0], eta_g[-1] = state.eta[-1], state.eta[0]
-        rho_g[:, 0], rho_g[:, -1] = state.rho[:, -1], state.rho[:, 0]
-        b_g[0], b_g[-1] = mesh.b[-1], mesh.b[0]
-        return u_full, eta_g, rho_g, b_g
-
-    for side, j, ig, ic in (("left", 0, 0, 0), ("right", M, M + 1, M - 1)):
-        cond = bounds.left if side == "left" else bounds.right
-        nb = layout.n_half[j]
-        if isinstance(cond, Wall):
-            u_full[:, j] = 0.0
-            eta_g[ig] = state.eta[ic]
-            b_g[ig] = mesh.b[ic]
-            rho_g[:, ig] = state.rho[:, ic]
-        elif isinstance(cond, Discharge):
-            h_in = state.eta[ic] - mesh.b[ic]
-            u_full[:nb, j] = cond.q(t) / h_in
-            u_full[nb:, j] = 0.0
-            eta_g[ig] = state.eta[ic]
-            b_g[ig] = mesh.b[ic]
-            rho_g[:nb, ig] = cond.rho(t)
-        elif isinstance(cond, Elevation):
-            eta_g[ig] = cond.eta(t)
-            b_g[ig] = mesh.b[ic]
-            rho_g[:nb, ig] = cond.rho(t)
-        else:
-            raise TypeError(f"unsupported boundary condition {cond!r}")
-    return u_full, eta_g, rho_g, b_g
+    for end in grid.ends:
+        rho = end.cond.ghost_rho(t, state.rho[:, end.cell])
+        rho_g[:len(rho), end.ghost] = rho
+    return (boundary_velocities(state, grid, t), ghost_elevation(state.eta, grid, t),
+            rho_g, grid.b_g)
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +247,11 @@ def prepare_fields(state: State, grid: Grid, t: float) -> FieldSet:
 
 def with_height(fs: FieldSet, grid: Grid, t: float, h_half) -> FieldSet:
     """fs with interface height h_half and the mass flux l*h*u that follows
-    (a left discharge prescribes its own); no other field depends on it.
-    Semi-implicit steps freeze the height at time level n."""
+    (an end of prescribed discharge gives its own); no other field depends
+    on it. Semi-implicit steps freeze the height at time level n."""
     flux = grid.layout.l_half * h_half * fs.u
-    if not grid.bounds.periodic and isinstance(grid.bounds.left, Discharge):
-        flux[:, 0] = grid.layout.l_half[:, 0] * grid.bounds.left.q(t)
+    for end in grid.discharge_ends:
+        flux[:, end.iface] = grid.layout.l_half[:, end.iface] * end.flux(t)
     return replace(fs, h_half=h_half, flux=flux, F=np.sum(flux, axis=0))
 
 
@@ -308,9 +331,9 @@ def density_rhs_flux(rho_stage_g, carrier_u, fs: FieldSet, grid: Grid) -> np.nda
     rho_up = np.where(act_h, upwind_interface(rho_L, rho_R, carrier_u), 0.0)
 
     lhu = layout.l_half * fs.h_half * carrier_u
-    if not grid.bounds.periodic and isinstance(grid.bounds.left, Discharge):
-        # mirror the exact prescribed-discharge flux used in the mass equation
-        lhu[:, 0] = fs.flux[:, 0]
+    for end in grid.discharge_ends:
+        # mirror the exact prescribed flux used in the mass equation
+        lhu[:, end.iface] = fs.flux[:, end.iface]
     frho = lhu * rho_up
     hurho = fs.h_half * carrier_u * rho_up
     left, right = _cell_layer_flux(frho, hurho, grid)
@@ -565,37 +588,3 @@ def compute_tendencies(state: State, grid: Grid, t: float, *,
                       d_u_nonstiff=momentum_nonstiff(fs, G, grid, limiter),
                       d_r=density_tendency(fs, G, state.rho, grid),
                       fields=fs, G=G)
-
-
-def diagnostic_w(state: State, grid: Grid, t: float = 0.0) -> np.ndarray:
-    """Vertical velocity at the interior layer interfaces of each cell,
-    reconstructed from the kinematic relation (output only).
-
-    Returns (n_max+1, M): w at the horizontal interfaces between layers."""
-    mesh, layout = grid.mesh, grid.layout
-    tend = compute_tendencies(state, grid, t)
-    fs = tend.fields
-    n_max, M = layout.n_max, mesh.M
-
-    cum = np.cumsum(layout.l_int, axis=0)
-    w = np.zeros((n_max + 1, M))
-    # dz/dt at interface k follows the column stretching below it
-    dzdt = cum * tend.d_eta[None, :]
-    # horizontal slope of z_k, central where possible
-    h = fs.h_g
-    z_g = np.empty((n_max, M + 2))
-    z_g[:, 1:-1] = fs.b_g[None, 1:-1] + cum * h[None, 1:-1]
-    z_g[:, 0] = z_g[:, 1]
-    z_g[:, -1] = z_g[:, -2]
-    dzdx = (z_g[:, 2:] - z_g[:, :-2]) / (mesh.dx_half[:-1] + mesh.dx_half[1:])
-    # layer-above velocity at the cell center
-    u_c = 0.5 * (fs.u[:, :-1] + fs.u[:, 1:])
-    u_above = np.vstack([u_c[1:, :], u_c[-1:, :]])
-    w[1:, :] = dzdt + u_above * dzdx - G_over_dx(tend.G, mesh)[1:, :]
-    kk = np.arange(n_max + 1)[:, None]
-    return np.where(kk <= layout.n_int[None, :], w, 0.0)
-
-
-def G_over_dx(G, mesh) -> np.ndarray:
-    """Transfer field in velocity units (m/s)."""
-    return G / mesh.dx[None, :]

@@ -7,9 +7,16 @@ two ends, and a random symmetric bottom bump. Both integrators must conserve
 volume and density content, commute with the mirror x -> -x, keep a
 constant density constant while the flow moves, and leave a flat-bottom
 rest state at rest (to the round-off of restricting its density).
+
+The same basins with a wall, a discharge or an elevation at either end must
+commute with the mirror that also swaps the ends, and gain the prescribed
+inflow as volume when no end is an elevation.
 """
 
+from dataclasses import replace
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -97,3 +104,45 @@ def test_variable_layout_invariants(basin):
     # coarse interface rounds back to it: the thickness-weighted mean of
     # 0.02 can come out an ulp off, and the baroclinic pressure acts on that
     assert np.max(np.abs(tend.d_u_nonstiff)) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# open ends
+
+KINDS = ("wall", "discharge", "elevation")
+# per end: discharge q, elevation offset and inflow density of its layers
+END_A, END_B = (0.05, 0.004, 0.01), (0.03, -0.003, 0.03)
+
+
+def _condition(kind, n_layers, q, d_eta, rho_in):
+    rho = np.linspace(rho_in, 2.0 * rho_in, n_layers)
+    if kind == "wall":
+        return m.Wall()
+    if kind == "discharge":
+        return m.Discharge(q=lambda t: q, rho=lambda t: rho)
+    return m.Elevation(eta=lambda t: 1.0 + d_eta * np.cos(10.0 * t), rho=lambda t: rho)
+
+
+@pytest.mark.parametrize("left", KINDS)
+@pytest.mark.parametrize("right", KINDS)
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(basin=basins())
+def test_open_ends_mirror_and_inflow(left, right, basin):
+    grid, start = _problem(*basin)
+    n_layers = grid.layout.n_half[0]
+    a = _condition(left, n_layers, *END_A)
+    b = _condition(right, n_layers, *END_B)
+    forward = replace(grid, bounds=m.Boundaries(a, b))
+    swapped = replace(grid, bounds=m.Boundaries(b, a))
+    vol0 = m.total_volume(start, grid.mesh)
+    inflow = sum(q for kind, (q, _, _) in ((left, END_A), (right, END_B))
+                 if kind == "discharge")
+    for cls, dt in STEPPERS:
+        end = _run(cls, dt, forward, start)
+        mirrored = _mirror(_run(cls, dt, swapped, _mirror(start)))
+        for x, y in ((end.eta, mirrored.eta), (end.u, mirrored.u),
+                     (end.rho, mirrored.rho)):
+            assert np.max(np.abs(x - y)) <= 1e-12
+        if "elevation" not in (left, right):
+            gained = m.total_volume(end, grid.mesh) - vol0
+            assert abs(gained - inflow * STEPS * dt) <= 1e-13 * vol0

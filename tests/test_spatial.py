@@ -386,6 +386,14 @@ def test_grid_rejects_boundary_density_of_the_wrong_length(side, cond, message):
         make_grid(bounds=bounds)
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_boundaries_reject_an_unknown_condition(side):
+    conds = ("open", Wall()) if side == "left" else (Wall(), "open")
+    with pytest.raises(TypeError, match=f"{side} boundary condition 'open' is "
+                       "not one of Wall, Discharge, Elevation, Periodic"):
+        Boundaries(*conds)
+
+
 def test_tidal_case_rejects_a_short_boundary_density_profile():
     from mlswe import build_problem, case_tidal
     spec = case_tidal("uniform")

@@ -173,10 +173,11 @@ def test_compute_tendencies_is_the_sum_of_its_pieces(name):
     ("tidal_nvar4", 3), ("periodic_viscous", 3)])  # one w_hat, one u_hat per stage
 def test_imex_step_work(name, solves, monkeypatch):
     """Per step: the level-n viscous coefficients once, one field
-    preparation per stage, no full right-hand side, and the vertical
-    tridiagonal solved only when it is not the identity."""
+    preparation (and one ghost-cell fill) per stage, no full right-hand
+    side, and the vertical tridiagonal solved only when it is not the
+    identity."""
     calls = dict.fromkeys(("viscous_coefficients", "prepare_fields",
-                           "compute_tendencies", "_thomas"), 0)
+                           "boundary_values", "compute_tendencies", "_thomas"), 0)
 
     def count(module, fname):
         original = getattr(module, fname)
@@ -195,7 +196,8 @@ def test_imex_step_work(name, solves, monkeypatch):
     for n in range(2):
         state = integ.step(state, t + n * dt, dt)
     assert calls == {"viscous_coefficients": 2, "prepare_fields": 6,
-                     "compute_tendencies": 0, "_thomas": 2 * solves}
+                     "boundary_values": 6, "compute_tendencies": 0,
+                     "_thomas": 2 * solves}
     assert (integ.n_rhs, integ.n_implicit) == (6, 4)
 
 
