@@ -165,7 +165,7 @@ def tidal_exterior_density() -> np.ndarray:
 def case_tidal(layout: str = "uniform", **overrides) -> CaseSpec:
     if layout not in TIDAL_LAYOUTS:
         raise ValueError(f"unknown tidal layout {layout!r}")
-    layers = TIDAL_LAYOUTS[layout]
+    layers = overrides.get("layers", TIDAL_LAYOUTS[layout])
     rho_ext = tidal_exterior_density()
     omega = 2.0 * np.pi / DAY_12H
 

@@ -120,11 +120,6 @@ def run_case(spec: CaseSpec, grid: Grid | None = None,
                      report=report)
 
 
-def work_counters(report: RunReport) -> dict:
-    return {"steps": report.steps, "rhs_evaluations": report.n_rhs,
-            "implicit_solves": report.n_implicit}
-
-
 # ---------------------------------------------------------------------------
 # error norms
 

@@ -4,9 +4,12 @@ The IMEX step is an ARK2 pair (Giraldo, Kelly & Constantinescu, SIAM J. Sci.
 Comput. 35, 2013) that treats the barotropic pressure gradient, the mass
 flux and the vertical viscous exchange implicitly, everything else
 (advection, transfer terms, baroclinic pressure) explicitly. The implicit
-operator is frozen at time level n, so both implicit stages share one
-vertical tridiagonal matrix; each eliminates the velocities column by column
-and solves one horizontal tridiagonal system for the free surface. A step
+operator is frozen at time level n and both implicit stages share the
+pair's one diagonal, so the whole stage matrix is built once per step: the
+vertical tridiagonal of every water column and the free-surface tridiagonal
+along the domain. Each stage is then one column solve, which eliminates the
+velocities, and one solve along the domain for the free surface; a periodic
+domain adds one Sherman-Morrison correction solve per step. A step
 evaluates only what the tableau consumes: the non-stiff momentum tendency
 at all three stages, the stiff tendencies at level n alone (stage 2's comes
 out of its implicit solve, and stage 3's is never needed because the weights
@@ -49,15 +52,6 @@ class ButcherPair:
     a_im: np.ndarray  # (3, 3) lower triangular, nonzero diagonal from stage 2
     b: np.ndarray     # (3,)
 
-    def validate(self) -> None:
-        for a, strict in ((self.a_ex, True), (self.a_im, False)):
-            if not np.allclose(np.sum(a, axis=1), self.c, atol=1e-14, rtol=0.0):
-                raise ValueError("tableau row sums must match the abscissae")
-            if strict and np.any(np.triu(a) != 0.0):
-                raise ValueError("explicit tableau must be strictly lower triangular")
-        if not np.allclose(self.b, self.a_im[2], atol=1e-15, rtol=0.0):
-            raise ValueError("weights must equal the last implicit row (stiff accuracy)")
-
 
 def ark2_tableau() -> ButcherPair:
     """Second-order ARK2 pair whose implicit part matches TR-BDF2
@@ -76,17 +70,15 @@ def ark2_tableau() -> ButcherPair:
         [delta, delta, gamma],
     ])
     b = np.array([delta, delta, gamma])
-    pair = ButcherPair(c=c, a_ex=a_ex, a_im=a_im, b=b)
-    pair.validate()
-    return pair
+    for coefficients in (c, a_ex, a_im, b):
+        coefficients.setflags(write=False)
+    return ButcherPair(c=c, a_ex=a_ex, a_im=a_im, b=b)
 
 
-def rk3_scalar_step(y: complex, z: complex) -> complex:
-    """One SSP-RK3 step of y' = (z/dt) y with dt absorbed into z; used to
-    check the stability polynomial 1 + z + z^2/2 + z^3/6."""
-    y1 = y + z * y
-    y2 = 0.75 * y + 0.25 * (y1 + z * y1)
-    return y / 3.0 + (2.0 / 3.0) * (y2 + z * y2)
+# the IMEX step's constants: one frozen stage matrix serves both implicit
+# stages because a_im[1, 1] == a_im[2, 2], and the step ends at stage 3
+# because b == a_im[2]
+ARK2 = ark2_tableau()
 
 
 # ---------------------------------------------------------------------------
@@ -151,18 +143,18 @@ class RK3Integrator:
     def _euler(self, state: State, t: float, dt: float):
         d_eta, d_u, d_r = self._rhs(state, t)
         layout, mesh = self.grid.layout, self.grid.mesh
-        l_safe = np.where(layout.l_int > 0.0, layout.l_int, 1.0)
         r = layout.l_int * (state.eta - mesh.b) * state.rho
         eta = state.eta + dt * d_eta
         u = state.u + dt * d_u
         r = r + dt * d_r
-        rho = np.where(layout.active_int(), r / (l_safe * (eta - mesh.b)), 0.0)
+        rho = np.where(layout.active_int(),
+                       r / (layout.l_int_safe * (eta - mesh.b)), 0.0)
         return State(eta, u, rho), r
 
     def step(self, state: State, t: float, dt: float) -> State:
         grid = self.grid
         layout, mesh = grid.layout, grid.mesh
-        l_safe = np.where(layout.l_int > 0.0, layout.l_int, 1.0)
+        l_safe = layout.l_int_safe
         r0 = layout.l_int * (state.eta - mesh.b) * state.rho
 
         s1, r1 = self._euler(state, t, dt)
@@ -212,9 +204,11 @@ def _thomas(sub, diag, sup, rhs):
     return x
 
 
-@dataclass
+@dataclass(frozen=True)
 class ImplicitWorkspace:
-    """Frozen level-n quantities shared by the implicit stages of one step."""
+    """The frozen level-n stage matrix shared by the implicit stages of one
+    step: the vertical tridiagonal of every column and the free-surface
+    tridiagonal along the domain."""
 
     h_half: np.ndarray          # (M+1,)
     coeffs: ViscousCoeffs
@@ -224,16 +218,23 @@ class ImplicitWorkspace:
     sup: np.ndarray
     k_const: np.ndarray         # (n_max, M+1) constant forcing (wind)
     w_hat: np.ndarray           # (n_max, M+1) velocity response to grad eta
-    W: np.ndarray               # (M+1,) its column flux h * sum(l * w_hat)
+    W: np.ndarray               # (M+1,) its column flux h * sum(l * w_hat),
+                                # 0 at discharge ends, W[M] = W[0] if periodic
+    fac: np.ndarray             # (M,) gamma_dt / dx
+    ab: np.ndarray              # (3, M) banded free-surface matrix, with the
+                                # Sherman-Morrison corner modification if periodic
+    z: np.ndarray | None        # periodic: the modified matrix's response to
+                                # the corner column gamma e_0 + beta e_{M-1}
+    r: float                    # periodic: the corner row v = e_0 + r e_{M-1}
+    v_z: float                  # periodic: v . z
 
 
 def build_implicit_workspace(grid: Grid, h_half, coeffs: ViscousCoeffs,
                              gamma_dt: float) -> ImplicitWorkspace:
-    layout = grid.layout
-    n_max, Mp1 = layout.n_max, h_half.size
+    layout, mesh = grid.layout, grid.mesh
+    n_max, Mp1, M = layout.n_max, h_half.size, mesh.M
     act = layout.active_half()
-    l_safe = np.where(act, layout.l_half, 1.0)
-    inv_lh = 1.0 / (l_safe * h_half)
+    inv_lh = 1.0 / (layout.l_half_safe * h_half)
 
     a = coeffs.a  # (n_max+1, Mp1)
     upper_c = a[1:, :].copy()   # coefficient coupling layer k to k+1
@@ -263,13 +264,40 @@ def build_implicit_workspace(grid: Grid, h_half, coeffs: ViscousCoeffs,
     sup = -gamma_dt * sup_a
     # the same matrix and right-hand side in every stage of the step; with
     # trivial coefficients the matrix is exactly the identity
-    ones = np.where(act, gamma_dt * grid.params.g / grid.mesh.dx_half, 0.0)
+    ones = np.where(act, gamma_dt * grid.params.g / mesh.dx_half, 0.0)
     w_hat = ones if coeffs.trivial else _thomas(sub, diag, sup, ones)
+
+    # free surface: column flux K + W * (jump of eta) at each interface; an
+    # end of prescribed discharge fixes it to its flux, free of eta
+    W = h_half * np.sum(layout.l_half * w_hat, axis=0)
+    for end in grid.discharge_ends:
+        W[end.iface] = 0.0
+    periodic = grid.bounds.periodic
+    if periodic:
+        W[M] = W[0]  # interface M aliases interface 0
+    fac = gamma_dt / mesh.dx
+    lower = -fac * W[:M]
+    upper = -fac * W[1:]
+    ab = np.zeros((3, M))
+    ab[0, 1:] = upper[:-1]
+    ab[1, :] = 1.0 + fac * (W[:M] + W[1:])
+    ab[2, :-1] = lower[1:]
+    z, r, v_z = None, 0.0, 0.0
+    if periodic:
+        # the cyclic corners lower[0] at (0, M-1) and upper[-1] at (M-1, 0)
+        # as the rank-one update (gamma e_0 + beta e_{M-1}) v^T
+        alpha, beta, gamma = lower[0], upper[-1], -ab[1, 0]
+        ab[1, 0] -= gamma
+        ab[1, -1] -= alpha * beta / gamma
+        corner = np.zeros(M)
+        corner[0], corner[-1] = gamma, beta
+        z = sla.solve_banded((1, 1), ab, corner)
+        r = alpha / gamma
+        v_z = z[0] + r * z[-1]
     return ImplicitWorkspace(
         h_half=h_half, coeffs=coeffs, gamma_dt=gamma_dt,
         sub=sub, diag=diag, sup=sup, k_const=k_const, w_hat=w_hat,
-        W=h_half * np.sum(layout.l_half * w_hat, axis=0),
-    )
+        W=W, fac=fac, ab=ab, z=z, r=r, v_z=v_z)
 
 
 def implicit_stage_solve(grid: Grid, ws: ImplicitWorkspace,
@@ -279,42 +307,32 @@ def implicit_stage_solve(grid: Grid, ws: ImplicitWorkspace,
         u = u_expl + gamma_dt (A u + k - g grad eta)
         eta = eta_expl - gamma_dt div(l h^n u)
 
-    Returns (eta_stage, u_stage). Velocities at non-evolved boundary columns
-    are returned as zero; prescribed values are reapplied on evaluation.
+    with the workspace's frozen matrix. Returns (eta_stage, u_stage).
+    Velocities at non-evolved boundary columns are returned as zero;
+    prescribed values are reapplied on evaluation.
     """
-    layout, mesh = grid.layout, grid.mesh
-    M = mesh.M
-    gd = ws.gamma_dt
+    layout, M = grid.layout, grid.mesh.M
+    fac, W = ws.fac, ws.W
+    periodic = grid.bounds.periodic
 
-    rhs_u = np.where(layout.active_half(), u_expl + gd * ws.k_const, 0.0)
+    rhs_u = np.where(layout.active_half(), u_expl + ws.gamma_dt * ws.k_const, 0.0)
     u_hat = rhs_u if ws.coeffs.trivial else _thomas(ws.sub, ws.diag, ws.sup, rhs_u)
 
-    # column flux K + W * (jump of eta) at each interface; an end of
-    # prescribed discharge fixes it to its flux, free of eta
+    # the stage's column flux, prescribed at the discharge ends
     K = ws.h_half * np.sum(layout.l_half * u_hat, axis=0)
-    W = ws.W.copy()
     for end in grid.discharge_ends:
-        K[end.iface], W[end.iface] = end.flux(t_stage), 0.0
-    periodic = grid.bounds.periodic
+        K[end.iface] = end.flux(t_stage)
     if periodic:
-        K[M], W[M] = K[0], W[0]  # interface M aliases interface 0
-    fac = gd / mesh.dx
-    lower = -fac * W[:M]
-    upper = -fac * W[1:]
-    diag = 1.0 + fac * (W[:M] + W[1:])
+        K[M] = K[0]
     rhs = eta_expl - fac * (K[1:] - K[:M])
-    if periodic:
-        eta = _cyclic_tridiag(lower, diag, upper, rhs)
-    else:
+    if not periodic:
         # Dirichlet ghosts move to the RHS; only elevation ends have W != 0
         eta_g = ghost_elevation(eta_expl, grid, t_stage)
         rhs[0] += fac[0] * W[0] * eta_g[0]
         rhs[-1] += fac[-1] * W[M] * eta_g[-1]
-        ab = np.zeros((3, M))
-        ab[0, 1:] = upper[:-1]
-        ab[1, :] = diag
-        ab[2, :-1] = lower[1:]
-        eta = sla.solve_banded((1, 1), ab, rhs)
+    eta = sla.solve_banded((1, 1), ws.ab, rhs)
+    if periodic:
+        eta = eta - ws.z * ((eta[0] + ws.r * eta[-1]) / (1.0 + ws.v_z))
 
     # back-substitute the velocities
     u = u_hat - np.diff(ghost_elevation(eta, grid, t_stage))[None, :] * ws.w_hat
@@ -322,30 +340,6 @@ def implicit_stage_solve(grid: Grid, ws: ImplicitWorkspace,
     if periodic:
         u[:, M] = u[:, 0]
     return eta, u
-
-
-def _cyclic_tridiag(lower, diag, upper, rhs):
-    """Cyclic tridiagonal solve via the Sherman-Morrison correction;
-    lower[0] is the (0, n-1) corner entry and upper[-1] the (n-1, 0) one."""
-    n = diag.size
-    alpha = lower[0]
-    beta = upper[-1]
-    gamma = -diag[0]
-    dmod = diag.copy()
-    dmod[0] -= gamma
-    dmod[-1] -= alpha * beta / gamma
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = dmod
-    ab[2, :-1] = lower[1:]
-    y = sla.solve_banded((1, 1), ab, rhs)
-    u = np.zeros(n)
-    u[0] = gamma
-    u[-1] = beta
-    z = sla.solve_banded((1, 1), ab, u)
-    v_y = y[0] + (alpha / gamma) * y[-1]
-    v_z = z[0] + (alpha / gamma) * z[-1]
-    return y - z * (v_y / (1.0 + v_z))
 
 
 def implicit_residual(grid: Grid, ws: ImplicitWorkspace, eta_expl, u_expl,
@@ -379,11 +373,9 @@ def implicit_residual(grid: Grid, ws: ImplicitWorkspace, eta_expl, u_expl,
 class IMEXIntegrator:
     """Semi-implicit additive Runge-Kutta step (three stages)."""
 
-    def __init__(self, grid: Grid, limiter: bool = False,
-                 tableau: ButcherPair | None = None):
+    def __init__(self, grid: Grid, limiter: bool = False):
         self.grid = grid
         self.limiter = limiter
-        self.tab = tableau if tableau is not None else ark2_tableau()
         self.n_rhs = 0
         self.n_implicit = 0
         self.last_residual = 0.0
@@ -401,11 +393,10 @@ class IMEXIntegrator:
     def step(self, state: State, t: float, dt: float) -> State:
         grid = self.grid
         layout, mesh = grid.layout, grid.mesh
-        tab = self.tab
-        a, ai, b, c = tab.a_ex, tab.a_im, tab.b, tab.c
+        a, ai, b, c = ARK2.a_ex, ARK2.a_im, ARK2.b, ARK2.c
         gamma = ai[1, 1]
 
-        l_safe = np.where(layout.l_int > 0.0, layout.l_int, 1.0)
+        l_safe = layout.l_int_safe
         act_i = layout.active_int()
         h_n = state.eta - mesh.b
         lh_n = layout.l_int * h_n

@@ -68,11 +68,16 @@ class LayerLayout:
     remap: tuple              # RemapSides with cells; none if uniform
 
     def __post_init__(self):
-        # grid-static masks, built once and shared read-only by all operators
+        # grid-static masks and divisor-safe fractions (1 where padded),
+        # built once and shared read-only by all operators
         for name, n in (("_active_int", self.n_int), ("_active_half", self.n_half)):
             mask = np.arange(self.n_max)[:, None] < n[None, :]
             mask.setflags(write=False)
             object.__setattr__(self, name, mask)
+        for name, l in (("l_int_safe", self.l_int), ("l_half_safe", self.l_half)):
+            safe = np.where(l > 0.0, l, 1.0)
+            safe.setflags(write=False)
+            object.__setattr__(self, name, safe)
 
     @property
     def n_max(self) -> int:

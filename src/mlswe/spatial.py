@@ -437,8 +437,7 @@ def momentum_transfer_term(fs: FieldSet, G: np.ndarray, grid: Grid) -> np.ndarra
     dU[1:n_max, :] = 0.5 * (fs.u[1:, :] - fs.u[:-1, :])
     contrib = dU * Gv
     num = contrib[1:, :] + contrib[:-1, :]
-    l_safe = np.where(layout.l_half > 0.0, layout.l_half, 1.0)
-    out = num / (l_safe * fs.h_half * mesh.dx_half)
+    out = num / (layout.l_half_safe * fs.h_half * mesh.dx_half)
     return np.where(layout.active_half(), out, 0.0)
 
 
@@ -528,8 +527,7 @@ def viscous_exchange(u, h_half, coeffs: ViscousCoeffs, grid: Grid):
     K[layout.n_half, cols] = coeffs.c_wind * (coeffs.u_wind - u_top)
     upper = K[1:, :]
     lower = K[:-1, :]
-    l_safe = np.where(layout.l_half > 0.0, layout.l_half, 1.0)
-    out = (upper - lower) / (l_safe * h_half)
+    out = (upper - lower) / (layout.l_half_safe * h_half)
     return np.where(layout.active_half(), out, 0.0)
 
 

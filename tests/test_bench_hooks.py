@@ -6,13 +6,20 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import mlswe as m
+
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
-def test_every_traced_function_resolves():
+def _load_spans():
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_traced_function_resolves():
+    spans = _load_spans()
     assert spans.FUNCTIONS
     for label, (module, attr) in spans.FUNCTIONS.items():
         assert callable(getattr(importlib.import_module(module), attr, None)), label
@@ -20,3 +27,13 @@ def test_every_traced_function_resolves():
     assert callable(integrators.sla.solve_banded)
     for cls in (integrators.IMEXIntegrator, integrators.RK3Integrator):
         assert callable(cls.step)
+
+
+def test_horizontal_solve_is_traced():
+    """The bench's horizontal-solve layer wraps `sla.solve_banded` as
+    mlswe.integrators looks it up; an IMEX step must go through it."""
+    spans = _load_spans()
+    grid, state = m.build_problem(m.case_internal_wave(M=24))
+    with spans.Tracer(("integrators.horizontal_solve",)) as tracer:
+        m.IMEXIntegrator(grid).step(state, 0.0, 0.04)
+    assert tracer.stats["integrators.horizontal_solve"].calls > 0

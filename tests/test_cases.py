@@ -85,6 +85,17 @@ def test_tidal_boundary_forcing():
     assert np.allclose(spec.bounds.right.rho(1e6), tidal_exterior_density())
 
 
+def test_tidal_layers_override_sizes_the_inflow_profile():
+    """`layers=` replaces the named layout's table, and the left inflow
+    density takes its layer count from it."""
+    spec = m.case_tidal("uniform", layers=TIDAL_LAYOUTS["nvar3"], M=40)
+    assert spec.bounds.left.rho(0.0).shape == (3,)
+    grid, state = m.build_problem(spec)
+    assert grid.layout.n_half[0] == 3 and grid.layout.n_half[-1] == 10
+    state = m.IMEXIntegrator(grid).step(state, 3600.0, 20.0)
+    assert state.all_finite()
+
+
 def test_case_spec_validation():
     with pytest.raises(ValueError):
         m.case_internal_wave(t_final=-1.0)

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 import mlswe as m
-from mlswe.integrators import (_cyclic_tridiag, _thomas,
-                               build_implicit_workspace, implicit_residual,
-                               implicit_stage_solve, rk3_scalar_step)
+from mlswe.integrators import (_thomas, build_implicit_workspace,
+                               implicit_residual, implicit_stage_solve)
 from mlswe.spatial import prepare_fields, viscous_coefficients
 
 
@@ -20,7 +19,7 @@ def smooth_periodic_problem(M=40, n_layers=1, amp=0.01):
 
 
 # ---------------------------------------------------------------------------
-# tableau and scalar stability
+# tableau
 
 
 def test_ark2_tableau_structure():
@@ -39,22 +38,6 @@ def test_ark2_tableau_structure():
     assert tab.a_im[0, 0] == 0.0 and tab.a_im[1, 1] > 0.0
 
 
-def test_ark2_tableau_validate_rejects_bad_rows():
-    tab = m.ark2_tableau()
-    bad = m.ButcherPair(c=tab.c, a_ex=tab.a_ex, a_im=tab.a_im,
-                        b=np.array([0.3, 0.3, 0.4]))
-    with pytest.raises(ValueError):
-        bad.validate()
-
-
-def test_rk3_scalar_matches_stability_polynomial():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        z = complex(rng.uniform(-3, 1), rng.uniform(-3, 3))
-        got = rk3_scalar_step(1.0 + 0.0j, z)
-        assert abs(got - (1 + z + z ** 2 / 2 + z ** 3 / 6)) < 1e-14
-
-
 # ---------------------------------------------------------------------------
 # tridiagonal solvers
 
@@ -71,20 +54,6 @@ def test_thomas_matches_dense_solve():
         A = (np.diag(diag[:, j]) + np.diag(sup[:-1, j], 1)
              + np.diag(sub[1:, j], -1))
         assert np.allclose(A @ x[:, j], rhs[:, j], atol=1e-12)
-
-
-def test_cyclic_tridiag_matches_dense_solve():
-    rng = np.random.default_rng(6)
-    n = 9
-    lower = rng.random(n)
-    upper = rng.random(n)
-    diag = 4.0 + rng.random(n)
-    rhs = rng.standard_normal(n)
-    x = _cyclic_tridiag(lower, diag, upper, rhs)
-    A = (np.diag(diag) + np.diag(upper[:-1], 1) + np.diag(lower[1:], -1))
-    A[0, -1] = lower[0]
-    A[-1, 0] = upper[-1]
-    assert np.allclose(A @ x, rhs, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +119,49 @@ def test_implicit_stage_periodic_residual():
     res = implicit_residual(grid, ws, state.eta, state.u, eta, u, 0.0)
     assert res < 1e-12
     assert u[0, -1] == u[0, 0]
+
+
+def _open_ends():
+    def fresh(t):
+        return np.zeros(3)
+    return m.Boundaries(m.Discharge(q=lambda t: 0.01 + 0.1 * t, rho=fresh),
+                        m.Elevation(eta=lambda t: 1.0 + 0.05 * t, rho=fresh))
+
+
+@pytest.mark.parametrize("bounds", [m.periodic(), m.closed(), _open_ends()],
+                         ids=["periodic", "closed", "open"])
+def test_stage_solves_share_one_workspace(bounds):
+    """The frozen stage matrix serves every stage of a step: two stage
+    solves from different explicit states and times through one workspace
+    each satisfy the unreduced equations, and the second gives what a
+    freshly built workspace gives (the first solve left it as it was)."""
+    mesh = m.build_mesh(0.0, 1.0, 24,
+                        bathymetry=lambda x: 0.2 * np.exp(-((x - 0.4) / 0.1) ** 2))
+    layout = m.uniform_layout(mesh, 3)
+    grid = m.Grid(mesh=mesh, layout=layout, params=m.PhysParams(nu=5e-4),
+                  bounds=bounds)
+    state = m.rest_state(mesh, layout, eta0=1.0)
+    x, k = mesh.x_iface, np.arange(3)[:, None]
+    state.eta = state.eta + 0.01 * np.sin(2 * np.pi * mesh.x_center)
+    state.u = np.where(grid.evolved_u, 0.05 * np.cos(2 * np.pi * x + 0.7 * k), 0.0)
+    if bounds.periodic:
+        state.u[:, -1] = state.u[:, 0]
+    fs = prepare_fields(state, grid, 0.0)
+    coeffs = viscous_coefficients(grid, fs.h_half, fs.u)
+    assert not coeffs.trivial
+
+    def workspace():
+        return build_implicit_workspace(grid, fs.h_half, coeffs, 0.02)
+
+    ws = workspace()
+    stages = [(state.eta, state.u, 0.1),
+              (state.eta - 0.02 * np.cos(4 * np.pi * mesh.x_center),
+               state.u + 0.03 * np.sin(2 * np.pi * x + k), 0.3)]
+    for eta_e, u_e, t in stages:
+        eta, u = implicit_stage_solve(grid, ws, eta_e, u_e, t)
+        assert implicit_residual(grid, ws, eta_e, u_e, eta, u, t) < 1e-12
+    fresh = implicit_stage_solve(grid, workspace(), *stages[1])
+    assert np.array_equal(eta, fresh[0]) and np.array_equal(u, fresh[1])
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import mlswe as m
 from mlswe import integrators, spatial
@@ -174,10 +175,12 @@ def test_compute_tendencies_is_the_sum_of_its_pieces(name):
 def test_imex_step_work(name, solves, monkeypatch):
     """Per step: the level-n viscous coefficients once, one field
     preparation (and one ghost-cell fill) per stage, no full right-hand
-    side, and the vertical tridiagonal solved only when it is not the
-    identity."""
+    side, the vertical tridiagonal solved only when it is not the identity,
+    and the free-surface system solved once per stage, plus once per step
+    for the Sherman-Morrison correction on a periodic grid."""
     calls = dict.fromkeys(("viscous_coefficients", "prepare_fields",
-                           "boundary_values", "compute_tendencies", "_thomas"), 0)
+                           "boundary_values", "compute_tendencies", "_thomas",
+                           "solve_banded"), 0)
 
     def count(module, fname):
         original = getattr(module, fname)
@@ -188,16 +191,17 @@ def test_imex_step_work(name, solves, monkeypatch):
         monkeypatch.setattr(module, fname, counted)
 
     for fname in calls:
-        for module in (spatial, integrators):
+        for module in (spatial, integrators, scipy.linalg):
             if hasattr(module, fname):
                 count(module, fname)
     _, limiter, grid, state, t, dt, _ = reference_runs()[name]
+    banded = 3 if grid.bounds.periodic else 2
     integ = m.IMEXIntegrator(grid, limiter=limiter)
     for n in range(2):
         state = integ.step(state, t + n * dt, dt)
     assert calls == {"viscous_coefficients": 2, "prepare_fields": 6,
                      "boundary_values": 6, "compute_tendencies": 0,
-                     "_thomas": 2 * solves}
+                     "_thomas": 2 * solves, "solve_banded": 2 * banded}
     assert (integ.n_rhs, integ.n_implicit) == (6, 4)
 
 
