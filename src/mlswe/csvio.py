@@ -79,8 +79,6 @@ def write_report(path, report: RunReport) -> None:
         "volume_drift": _fmt(report.volume_drift),
         "density_mass_drift": _fmt(report.density_mass_drift),
     }
-    if report.errors:
-        cp["errors"] = {k: _fmt(v) for k, v in report.errors.items()}
     with open(path, "w") as f:
         cp.write(f)
 

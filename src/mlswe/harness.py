@@ -4,7 +4,7 @@ work counters and layout projection for mixed-layer-count comparisons."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ class RunReport:
     max_cvel: float = 0.0
     volume_drift: float = 0.0           # relative, vs initial
     density_mass_drift: float = 0.0
-    errors: dict = field(default_factory=dict)
 
 
 @dataclass

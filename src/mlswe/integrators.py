@@ -16,10 +16,13 @@ out of its implicit solve, and stage 3's is never needed because the weights
 equal the last implicit row), and the mass transfer at the frozen height.
 
 Density stages use a linearized update so that no extra linear system is
-needed: each stage advects the previous stage's density with a tableau-
-weighted carrier velocity, with all advective heights frozen at time level n
-so that a spatially constant density stays constant whenever the velocity
-field carries no vertical shear.
+needed: each stage upwinds the previous stage's density with the tableau-
+weighted carrier velocity and carries it on the same weighted sum of the
+per-layer mass fluxes that the continuity update of the stage uses (all
+built at the height frozen at time level n, a prescribed discharge at its
+stage time). So a spatially constant density stays constant, open ends
+included, while the flow carries no vertical shear; under shear the vertical
+exchange is still carried with other weights than the flux.
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ import scipy.linalg as sla
 
 from .spatial import (Grid, ViscousCoeffs, boundary_velocities,
                       compute_tendencies, density_rhs_flux, free_surface_rhs,
-                      ghost_elevation, mass_transfer, momentum_nonstiff,
-                      momentum_stiff, prepare_fields, vertical_density_term,
-                      viscous_coefficients, with_height)
+                      ghost_elevation, layer_flux, mass_transfer,
+                      momentum_nonstiff, momentum_stiff, prepare_fields,
+                      vertical_density_term, viscous_coefficients)
 from .state import State
 
 SQRT2 = np.sqrt(2.0)
@@ -319,9 +322,7 @@ def implicit_stage_solve(grid: Grid, ws: ImplicitWorkspace,
     u_hat = rhs_u if ws.coeffs.trivial else _thomas(ws.sub, ws.diag, ws.sup, rhs_u)
 
     # the stage's column flux, prescribed at the discharge ends
-    K = ws.h_half * np.sum(layout.l_half * u_hat, axis=0)
-    for end in grid.discharge_ends:
-        K[end.iface] = end.flux(t_stage)
+    K = np.sum(layer_flux(u_hat, ws.h_half, grid, t_stage), axis=0)
     if periodic:
         K[M] = K[0]
     rhs = eta_expl - fac * (K[1:] - K[:M])
@@ -345,7 +346,7 @@ def implicit_stage_solve(grid: Grid, ws: ImplicitWorkspace,
 def implicit_residual(grid: Grid, ws: ImplicitWorkspace, eta_expl, u_expl,
                       eta, u, t_stage: float) -> float:
     """Max-norm residual of the unreduced stage equations (diagnostic)."""
-    layout, mesh, g = grid.layout, grid.mesh, grid.params.g
+    mesh, g = grid.mesh, grid.params.g
     M = mesh.M
     gd = ws.gamma_dt
     act = grid.evolved_u
@@ -359,9 +360,7 @@ def implicit_residual(grid: Grid, ws: ImplicitWorkspace, eta_expl, u_expl,
     res_u = Tu - gd * ws.k_const - (u_expl - gd * grad[None, :])
     res_u = np.where(act, res_u, 0.0)
 
-    F = ws.h_half * np.sum(layout.l_half * u, axis=0)
-    for end in grid.discharge_ends:
-        F[end.iface] = end.flux(t_stage)
+    F = np.sum(layer_flux(u, ws.h_half, grid, t_stage), axis=0)
     res_eta = eta - eta_expl + gd * (F[1:] - F[:M]) / mesh.dx
     return float(max(np.max(np.abs(res_u)), np.max(np.abs(res_eta))))
 
@@ -378,17 +377,15 @@ class IMEXIntegrator:
         self.limiter = limiter
         self.n_rhs = 0
         self.n_implicit = 0
-        self.last_residual = 0.0
 
-    def _nonstiff_stage(self, state: State, t: float, h_half_n):
-        """What stages 2 and 3 consume: the non-stiff momentum tendency, the
-        stage fields and the mass transfer at the frozen level-n height."""
+    def _nonstiff_stage(self, state: State, t: float):
+        """What stages 2 and 3 consume: the non-stiff momentum tendency and
+        the stage fields."""
         grid = self.grid
         self.n_rhs += 1
         fs = prepare_fields(state, grid, t)
-        N = momentum_nonstiff(fs, mass_transfer(fs, grid), grid, self.limiter)
-        G = mass_transfer(with_height(fs, grid, t, h_half_n), grid)
-        return N, fs, G
+        G = mass_transfer(fs.u, fs.flux, fs.h_half, grid)
+        return momentum_nonstiff(fs, G, grid, self.limiter), fs
 
     def step(self, state: State, t: float, dt: float) -> State:
         grid = self.grid
@@ -407,18 +404,19 @@ class IMEXIntegrator:
         self.n_rhs += 1
         fs_n = prepare_fields(state, grid, t)
         h_half_n = fs_n.h_half
-        G1 = mass_transfer(fs_n, grid)            # already at h^n
-        coeffs = viscous_coefficients(grid, h_half_n, fs_n.u)
+        u1f, F1 = fs_n.u, fs_n.flux
+        G1 = mass_transfer(u1f, F1, h_half_n, grid)
+        coeffs = viscous_coefficients(grid, h_half_n, u1f)
         ws = build_implicit_workspace(grid, h_half_n, coeffs, dt * gamma)
         N1 = momentum_nonstiff(fs_n, G1, grid, self.limiter)
         S1_u = momentum_stiff(fs_n, coeffs, grid)
         S1_eta = free_surface_rhs(fs_n, grid)
-        u1f = fs_n.u
         rho1 = state.rho
-        rho1_g = fs_n.rho_g
 
         # ---- stage 2 ----------------------------------------------------
-        # the stiff tendency S2 comes out of the implicit solve
+        # the stiff tendency S2 comes out of the implicit solve; the stage's
+        # mass flux at the frozen height serves its density, continuity and
+        # mass transfer alike
         t2 = t + c[1] * dt
         eta_e2 = state.eta + dt * ai[1, 0] * S1_eta
         u_e2 = state.u + dt * (a[1, 0] * N1 + ai[1, 0] * S1_u)
@@ -431,15 +429,15 @@ class IMEXIntegrator:
             raise StepFailure("implicit stage produced a dry or non-finite state")
 
         u2f = boundary_velocities(State(eta2, u2, rho1), grid, t2)
-        ustar2 = ai[1, 1] * u2f + ai[1, 0] * u1f
-        flux_s2 = density_rhs_flux(rho1_g, ustar2, fs_n, grid)
+        F2 = layer_flux(u2f, h_half_n, grid, t2)
+        flux_s2 = density_rhs_flux(fs_n, ai[1, 1] * u2f + ai[1, 0] * u1f,
+                                   ai[1, 1] * F2 + ai[1, 0] * F1, h_half_n, grid)
         vert1 = vertical_density_term(rho1, G1, grid)
         num2 = lh_n * rho1 + dt * (flux_s2 + a[1, 0] * vert1)
         rho2 = np.where(act_i, num2 / (l_safe * h2), 0.0)
 
-        state2 = State(eta2, u2, rho2)
-        N2, fs2, G2 = self._nonstiff_stage(state2, t2, h_half_n)
-        rho2_g = fs2.rho_g
+        N2, fs2 = self._nonstiff_stage(State(eta2, u2, rho2), t2)
+        G2 = mass_transfer(u2f, F2, h_half_n, grid)
 
         # ---- stage 3 ----------------------------------------------------
         # its stiff tendency is never needed: b equals the last implicit row
@@ -454,16 +452,17 @@ class IMEXIntegrator:
             raise StepFailure("implicit stage produced a dry or non-finite state")
 
         u3f = boundary_velocities(State(eta3, u3, rho2), grid, t3)
-        ustar3 = ai[2, 2] * u3f + ai[2, 1] * u2f
-        flux_s3 = density_rhs_flux(rho2_g, ustar3, fs_n, grid)
+        F3 = layer_flux(u3f, h_half_n, grid, t3)
+        flux_s3 = density_rhs_flux(fs2, ai[2, 2] * u3f + ai[2, 1] * u2f,
+                                   ai[2, 2] * F3 + ai[2, 1] * F2, h_half_n, grid)
         vert2 = vertical_density_term(rho2, G2, grid)
-        flux1 = density_rhs_flux(rho1_g, u1f, fs_n, grid)
+        flux1 = density_rhs_flux(fs_n, u1f, F1, h_half_n, grid)
         num3 = lh_n * rho1 + dt * (flux_s3 + a[2, 1] * vert2
                                    + ai[2, 0] * flux1 + a[2, 0] * vert1)
         rho3 = np.where(act_i, num3 / (l_safe * h3), 0.0)
 
-        state3 = State(eta3, u3, rho3)
-        N3, fs3, G3 = self._nonstiff_stage(state3, t3, h_half_n)
+        N3, fs3 = self._nonstiff_stage(State(eta3, u3, rho3), t3)
+        G3 = mass_transfer(u3f, F3, h_half_n, grid)
 
         # ---- assembly ---------------------------------------------------
         # b equals the last implicit row, so eta^{n+1} = eta3 and the
@@ -475,17 +474,14 @@ class IMEXIntegrator:
         if grid.bounds.periodic:
             u_new[:, -1] = u_new[:, 0]
 
-        flux2 = density_rhs_flux(rho2_g, u2f, fs_n, grid)
-        flux3 = density_rhs_flux(fs3.rho_g, fs3.u, fs_n, grid)
+        flux2 = density_rhs_flux(fs2, u2f, F2, h_half_n, grid)
+        flux3 = density_rhs_flux(fs3, u3f, F3, h_half_n, grid)
         vert3 = vertical_density_term(rho3, G3, grid)
         num = lh_n * rho1 + dt * (
             b[0] * (flux1 + vert1) + b[1] * (flux2 + vert2)
             + b[2] * (flux3 + vert3))
         h_new = eta_new - mesh.b
         rho_new = np.where(act_i, num / (l_safe * h_new), 0.0)
-
-        self.last_residual = implicit_residual(
-            grid, ws, eta_e3, u_e3, eta3, u3, t3)
         return _check_state(State(eta_new, u_new, rho_new), grid)
 
 

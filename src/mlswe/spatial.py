@@ -85,9 +85,10 @@ class Grid:
     @cached_property
     def advection_columns(self) -> tuple:
         """Per column of `momentum_advection` (the M+1 interfaces; the M unique
-        ones, wrapping, if periodic): left/right neighbour exists, first order,
-        no upstream-left/right curvature; and per remap side the columns of
-        its entries' fine interfaces and of its slots' coarse ones."""
+        ones, wrapping, if periodic): left/right neighbour exists, no
+        upstream-left/right curvature (first order next to a transition cell);
+        and per remap side the columns of its entries' fine interfaces and of
+        its slots' coarse ones."""
         M, periodic = self.mesh.M, self.bounds.periodic
         n = M if periodic else M + 1
         jj = np.arange(n)
@@ -97,11 +98,11 @@ class Grid:
 
         trans = np.nonzero(self.layout.transition_cell)[0]
         first_only = np.isin(jj, at(trans)) | np.isin(jj, at(trans + 1))
-        no_corr_m = (at(jj - 2) < 0) | np.isin(jj, at(trans + 2))
-        no_corr_p = (at(jj + 2) < 0) | np.isin(jj, at(trans - 1))
+        no_corr_m = first_only | (at(jj - 2) < 0) | np.isin(jj, at(trans + 2))
+        no_corr_p = first_only | (at(jj + 2) < 0) | np.isin(jj, at(trans - 1))
         remap = tuple((at(s.cell + 1 - s.side), at(s.slot_cell + s.side))
                       for s in self.layout.remap)
-        return at(jj - 1) >= 0, at(jj + 1) >= 0, first_only, no_corr_m, no_corr_p, remap
+        return at(jj - 1) >= 0, at(jj + 1) >= 0, no_corr_m, no_corr_p, remap
 
     def __post_init__(self):
         """Reject boundary input that does not fit the layout."""
@@ -210,7 +211,6 @@ class FieldSet:
 
     u: np.ndarray         # (n_max, M+1) with boundary columns applied
     eta_g: np.ndarray     # (M+2,)
-    rho_g: np.ndarray     # (n_max, M+2)
     b_g: np.ndarray       # (M+2,)
     h: np.ndarray         # (M,)
     h_g: np.ndarray       # (M+2,)
@@ -239,20 +239,27 @@ def prepare_fields(state: State, grid: Grid, t: float) -> FieldSet:
 
     rho_L, rho_R = interface_cell_scalars(rho_g, grid)
     rho_half = np.where(act_h, upwind_interface(rho_L, rho_R, u_full), 0.0)
-    fs = FieldSet(u=u_full, eta_g=eta_g, rho_g=rho_g, b_g=b_g, h=h, h_g=h_g,
+    fs = FieldSet(u=u_full, eta_g=eta_g, b_g=b_g, h=h, h_g=h_g,
                   h_half=None, ubar=ubar, rho_L=rho_L, rho_R=rho_R,
                   rho_half=rho_half, flux=None, F=None)
     return with_height(fs, grid, t, h_half)
 
 
 def with_height(fs: FieldSet, grid: Grid, t: float, h_half) -> FieldSet:
-    """fs with interface height h_half and the mass flux l*h*u that follows
-    (an end of prescribed discharge gives its own); no other field depends
-    on it. Semi-implicit steps freeze the height at time level n."""
-    flux = grid.layout.l_half * h_half * fs.u
+    """fs with interface height h_half and the mass flux that follows; no
+    other field depends on it."""
+    flux = layer_flux(fs.u, h_half, grid, t)
+    return replace(fs, h_half=h_half, flux=flux, F=np.sum(flux, axis=0))
+
+
+def layer_flux(u, h_half, grid: Grid, t: float) -> np.ndarray:
+    """Per-layer mass flux l*h*u at the interfaces, (n_max, M+1). An end of
+    prescribed discharge carries its discharge at t, split by the layer
+    fractions. Semi-implicit steps pass the height frozen at time level n."""
+    flux = grid.layout.l_half * h_half * u
     for end in grid.discharge_ends:
         flux[:, end.iface] = grid.layout.l_half[:, end.iface] * end.flux(t)
-    return replace(fs, h_half=h_half, flux=flux, F=np.sum(flux, axis=0))
+    return flux
 
 
 # ---------------------------------------------------------------------------
@@ -282,16 +289,16 @@ def _cell_layer_flux(per_layer_iface, extra_iface, grid: Grid):
     return left, right
 
 
-def mass_transfer(fs: FieldSet, grid: Grid) -> np.ndarray:
-    """Mass-transfer field at the horizontal layer interfaces of each cell.
+def mass_transfer(u, flux, h_half, grid: Grid) -> np.ndarray:
+    """Mass-transfer field at the horizontal layer interfaces of each cell,
+    from the velocity u and the per-layer mass flux it carries at h_half.
 
     Returns G of shape (n_max+1, M) in m^2/s (undivided flux form); rows 0
     and n_int[i] are exactly zero and the per-cell telescoping sum vanishes
     by construction.
     """
     layout = grid.layout
-    hu = fs.h_half * fs.u
-    left, right = _cell_layer_flux(fs.flux, hu, grid)
+    left, right = _cell_layer_flux(flux, h_half * u, grid)
     D = right - left
     SD = np.sum(D, axis=0)
     act = layout.active_int()
@@ -318,25 +325,18 @@ def density_interface_value(rho, G_inner, active_vert) -> np.ndarray:
     return np.where(active_vert, val, 0.0)
 
 
-def density_rhs_flux(rho_stage_g, carrier_u, fs: FieldSet, grid: Grid) -> np.ndarray:
+def density_rhs_flux(fs_rho: FieldSet, carrier_u, flux, h_half,
+                     grid: Grid) -> np.ndarray:
     """Conservative horizontal flux divergence of l*h*rho*u per cell layer.
 
-    rho_stage_g is the ghost-extended density at the stage whose upwind
-    values are carried by carrier_u; h comes from fs (frozen at level n for
-    semi-implicit steps). Returns (n_max, M), already divided by dx.
+    The interface densities of fs_rho, upwinded by carrier_u, ride on the
+    per-layer mass flux `flux` that carrier_u carries at height h_half: the
+    flux of the continuity update, so a constant density stays constant.
+    Returns (n_max, M), already divided by dx.
     """
-    layout = grid.layout
-    act_h = layout.active_half()
-    rho_L, rho_R = interface_cell_scalars(rho_stage_g, grid)
-    rho_up = np.where(act_h, upwind_interface(rho_L, rho_R, carrier_u), 0.0)
-
-    lhu = layout.l_half * fs.h_half * carrier_u
-    for end in grid.discharge_ends:
-        # mirror the exact prescribed flux used in the mass equation
-        lhu[:, end.iface] = fs.flux[:, end.iface]
-    frho = lhu * rho_up
-    hurho = fs.h_half * carrier_u * rho_up
-    left, right = _cell_layer_flux(frho, hurho, grid)
+    rho_up = np.where(grid.layout.active_half(),
+                      upwind_interface(fs_rho.rho_L, fs_rho.rho_R, carrier_u), 0.0)
+    left, right = _cell_layer_flux(flux * rho_up, h_half * carrier_u * rho_up, grid)
     return -(right - left) / grid.mesh.dx
 
 
@@ -360,7 +360,7 @@ def momentum_advection(fs: FieldSet, grid: Grid, limiter: bool) -> np.ndarray:
     """u * du/dx at the velocity points, upstream-biased second order with an
     optional minmod blend toward first-order upwind."""
     layout, u = grid.layout, fs.u
-    vm1, vp1, first_only, no_corr_m, no_corr_p, remap = grid.advection_columns
+    vm1, vp1, no_corr_m, no_corr_p, remap = grid.advection_columns
     n = vm1.size
     ends = ((u[:, n - 2:n], u[:, :2]) if n == grid.mesh.M  # periodic: wrap
             else (np.zeros((layout.n_max, 2)),) * 2)
@@ -387,8 +387,6 @@ def momentum_advection(fs: FieldSet, grid: Grid, limiter: bool) -> np.ndarray:
         corr_m = np.where(vp1[None, :], lim, corr_m)
     corr_m = np.where(no_corr_m[None, :], 0.0, corr_m)
     s_pos = np.where(vm1[None, :], (d1 + 0.5 * corr_m) / dxh, 0.0)
-    s_pos_first = np.where(vm1[None, :], d1 / dxh, 0.0)
-    s_pos = np.where(first_only[None, :], s_pos_first, s_pos)
 
     # u < 0: upstream on the right
     corr_p = e1 - e2
@@ -397,8 +395,6 @@ def momentum_advection(fs: FieldSet, grid: Grid, limiter: bool) -> np.ndarray:
         corr_p = np.where(vm1[None, :], lim, corr_p)
     corr_p = np.where(no_corr_p[None, :], 0.0, corr_p)
     s_neg = np.where(vp1[None, :], (e1 + 0.5 * corr_p) / dxh, 0.0)
-    s_neg_first = np.where(vp1[None, :], e1 / dxh, 0.0)
-    s_neg = np.where(first_only[None, :], s_neg_first, s_neg)
 
     slope = np.where(ucol > 0.0, s_pos, np.where(ucol < 0.0, s_neg, 0.0))
     adv = ucol * slope
@@ -541,8 +537,6 @@ class Tendencies:
     d_u_stiff: np.ndarray    # (n_max, M+1)
     d_u_nonstiff: np.ndarray
     d_r: np.ndarray          # (n_max, M) conservative density tendency
-    fields: FieldSet
-    G: np.ndarray            # (n_max+1, M)
 
 
 def barotropic_gradient(fs: FieldSet, grid: Grid) -> np.ndarray:
@@ -570,7 +564,7 @@ def momentum_nonstiff(fs: FieldSet, G, grid: Grid, limiter: bool) -> np.ndarray:
 
 def density_tendency(fs: FieldSet, G, rho, grid: Grid) -> np.ndarray:
     """Conservative density tendency d(rho*l*h)/dt per live cell layer."""
-    d_r = density_rhs_flux(fs.rho_g, fs.u, fs, grid) + vertical_density_term(
+    d_r = density_rhs_flux(fs, fs.u, fs.flux, fs.h_half, grid) + vertical_density_term(
         rho, G, grid)
     return np.where(grid.layout.active_int(), d_r, 0.0)
 
@@ -579,10 +573,9 @@ def compute_tendencies(state: State, grid: Grid, t: float, *,
                        limiter: bool = False) -> Tendencies:
     """Full spatial right-hand side at (state, t)."""
     fs = prepare_fields(state, grid, t)
-    G = mass_transfer(fs, grid)
+    G = mass_transfer(fs.u, fs.flux, fs.h_half, grid)
     coeffs = viscous_coefficients(grid, fs.h_half, fs.u)
     return Tendencies(d_eta=free_surface_rhs(fs, grid),
                       d_u_stiff=momentum_stiff(fs, coeffs, grid),
                       d_u_nonstiff=momentum_nonstiff(fs, G, grid, limiter),
-                      d_r=density_tendency(fs, G, state.rho, grid),
-                      fields=fs, G=G)
+                      d_r=density_tendency(fs, G, state.rho, grid))

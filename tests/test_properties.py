@@ -10,7 +10,9 @@ rest state at rest (to the round-off of restricting its density).
 
 The same basins with a wall, a discharge or an elevation at either end must
 commute with the mirror that also swaps the ends, and gain the prescribed
-inflow as volume when no end is an elevation.
+inflow as volume when no end is an elevation. With a constant density
+inside and at every open end, that density must stay constant however the
+prescribed discharge varies in time.
 """
 
 from dataclasses import replace
@@ -114,12 +116,13 @@ KINDS = ("wall", "discharge", "elevation")
 END_A, END_B = (0.05, 0.004, 0.01), (0.03, -0.003, 0.03)
 
 
-def _condition(kind, n_layers, q, d_eta, rho_in):
-    rho = np.linspace(rho_in, 2.0 * rho_in, n_layers)
+def _condition(kind, rho, q, d_eta, growth=0.0):
+    """A `kind` end with the inflow density profile rho, the discharge
+    q (1 + growth t) and the elevation 1 + d_eta cos(10 t)."""
     if kind == "wall":
         return m.Wall()
     if kind == "discharge":
-        return m.Discharge(q=lambda t: q, rho=lambda t: rho)
+        return m.Discharge(q=lambda t: q * (1.0 + growth * t), rho=lambda t: rho)
     return m.Elevation(eta=lambda t: 1.0 + d_eta * np.cos(10.0 * t), rho=lambda t: rho)
 
 
@@ -130,8 +133,8 @@ def _condition(kind, n_layers, q, d_eta, rho_in):
 def test_open_ends_mirror_and_inflow(left, right, basin):
     grid, start = _problem(*basin)
     n_layers = grid.layout.n_half[0]
-    a = _condition(left, n_layers, *END_A)
-    b = _condition(right, n_layers, *END_B)
+    a, b = (_condition(kind, np.linspace(rho_in, 2.0 * rho_in, n_layers), q, d_eta)
+            for kind, (q, d_eta, rho_in) in ((left, END_A), (right, END_B)))
     forward = replace(grid, bounds=m.Boundaries(a, b))
     swapped = replace(grid, bounds=m.Boundaries(b, a))
     vol0 = m.total_volume(start, grid.mesh)
@@ -146,3 +149,24 @@ def test_open_ends_mirror_and_inflow(left, right, basin):
         if "elevation" not in (left, right):
             gained = m.total_volume(end, grid.mesh) - vol0
             assert abs(gained - inflow * STEPS * dt) <= 1e-13 * vol0
+
+
+@pytest.mark.parametrize("left", KINDS)
+@pytest.mark.parametrize("right", KINDS)
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(basin=basins())
+def test_open_ends_keep_a_constant_density(left, right, basin):
+    """The density is carried on the mass flux of its stage, a prescribed
+    discharge at the stage's time included, so an unsheared constant
+    density stays constant through a discharge that grows in time."""
+    grid, start = _problem(*basin)
+    mesh, layout = grid.mesh, grid.layout
+    rho = np.full(layout.n_half[0], 0.02)
+    grid = replace(grid, bounds=m.Boundaries(
+        *(_condition(kind, rho, q, d_eta, growth=20.0)
+          for kind, (q, d_eta, _) in ((left, END_A), (right, END_B)))))
+    start.u = np.where(layout.active_half(), 0.02 * np.sin(np.pi * mesh.x_iface), 0.0)
+    start.rho = np.where(layout.active_int(), 0.02, 0.0)
+    for cls, dt in STEPPERS:
+        rho = _run(cls, dt, grid, start).rho
+        assert np.max(np.abs(np.where(layout.active_int(), rho - 0.02, 0.0))) <= 1e-12

@@ -96,7 +96,7 @@ def test_mass_transfer_telescopes_and_caps():
     st.u[:] = 0.1 * rng.standard_normal(st.u.shape)
     st.u[:, -1] = st.u[:, 0]
     fs = prepare_fields(st, grid, 0.0)
-    G = mass_transfer(fs, grid)
+    G = mass_transfer(fs.u, fs.flux, fs.h_half, grid)
     # bottom and surface rows are identically zero, columns telescope
     assert np.all(G[0, :] == 0.0)
     assert np.all(G[-1, :] == 0.0)
@@ -116,7 +116,7 @@ def test_mass_transfer_sign_two_layer_exchange():
     st.u[0, :] = -np.sin(2 * np.pi * x)   # converging at x=0.25 in layer 0
     st.u[1, :] = +np.sin(2 * np.pi * x)   # diverging above
     fs = prepare_fields(st, grid, 0.0)
-    G = mass_transfer(fs, grid)
+    G = mass_transfer(fs.u, fs.flux, fs.h_half, grid)
     i = np.argmin(np.abs(grid.mesh.x_center - 0.25))
     assert G[1, i] < 0.0  # upward transfer
 
