@@ -36,14 +36,16 @@ class CaseSpec:
     integrator: str = "imex"           # "rk3" or "imex"
     dt: float | None = None            # fixed step, or None for adaptive
     target_ccel: float | None = None   # adaptive target on C_cel
-    dt_max: float = np.inf
     limiter: bool = False
-    output_interval: float = 1.0
-    u_blowup: float = 1e3              # |u| beyond this counts as blown up
+    output_interval: float = 1.0       # inf: the first and last state only
 
     def __post_init__(self):
-        if self.t_final < 0:
-            raise ValueError("t_final must be nonnegative")
+        if not (np.isfinite(self.t_final) and self.t_final >= 0):
+            raise ValueError("t_final must be nonnegative and finite, "
+                             f"got {self.t_final!r}")
+        if not self.output_interval > 0:
+            raise ValueError("output_interval must be positive (inf for the first "
+                             f"and last state only), got {self.output_interval!r}")
         if self.dt is None and self.target_ccel is None and self.t_final > 0:
             raise ValueError("either dt or target_ccel must be set")
         for name in ("dt", "target_ccel"):

@@ -1,28 +1,29 @@
 """Time integrators: explicit SSP-RK3 and the semi-implicit IMEX-ARK2 step.
 
-The IMEX step is an ARK2 pair (Giraldo, Kelly & Constantinescu, SIAM J. Sci.
-Comput. 35, 2013) that treats the barotropic pressure gradient, the mass
-flux and the vertical viscous exchange implicitly, everything else
-(advection, transfer terms, baroclinic pressure) explicitly. The implicit
-operator is frozen at time level n and both implicit stages share the
-pair's one diagonal, so the whole stage matrix is built once per step: the
-vertical tridiagonal of every water column and the free-surface tridiagonal
-along the domain. Each stage is then one column solve, which eliminates the
-velocities, and one solve along the domain for the free surface; a periodic
-domain adds one Sherman-Morrison correction solve per step. A step
-evaluates only what the tableau consumes: the non-stiff momentum tendency
-at all three stages, the stiff tendencies at level n alone (stage 2's comes
-out of its implicit solve, and stage 3's is never needed because the weights
-equal the last implicit row), and the mass transfer at the frozen height.
+Each step is one loop over the rows of its tableau. SSP-RK3 runs the three
+Shu-Osher rows (Shu & Osher, J. Comput. Phys. 77, 1988) on (eta, u,
+rho*l*h). IMEX-ARK2 (Giraldo, Kelly & Constantinescu, SIAM J. Sci. Comput.
+35, 2013) treats the barotropic pressure gradient, the mass flux and the
+vertical viscous exchange implicitly, the rest explicitly. Its implicit
+operator is frozen at time level n and both implicit stages share one
+diagonal, so the stage matrix is built once per step: the vertical
+tridiagonal of every column, the free-surface tridiagonal along the domain
+and, if periodic, its Sherman-Morrison correction. Level n is evaluated
+once; each later stage solves from the explicit values of its tableau rows
+and evaluates only what a later stage or the assembly reads (stage 2's
+stiff tendency comes out of its solve; stage 3's is never needed, because
+b equals the last implicit row).
 
-Density stages use a linearized update so that no extra linear system is
-needed: each stage upwinds the previous stage's density with the tableau-
-weighted carrier velocity and carries it on the same weighted sum of the
-per-layer mass fluxes that the continuity update of the stage uses (all
-built at the height frozen at time level n, a prescribed discharge at its
-stage time). So a spatially constant density stays constant, open ends
-included, while the flow carries no vertical shear; under shear the vertical
-exchange is still carried with other weights than the flux.
+Density stages use a linearized update: each stage upwinds the previous
+stage's density with the tableau-weighted carrier velocity and carries it
+on the weighted sum of per-layer mass fluxes (at the height frozen at level
+n, a prescribed discharge at its stage time) of the stage's continuity
+update. So a constant density stays constant, open ends included, without
+vertical shear. Under shear it drifts slightly, because the vertical
+exchange is weighted by the explicit row, not by the flux's implicit row.
+Weighting it like the flux removes the drift but brings the internal-wave
+density errors below a third of the published ones, which acceptance 06's
+two-sided bound rejects; that change waits on a decision about the test.
 """
 
 from __future__ import annotations
@@ -121,6 +122,22 @@ def _check_state(state: State, grid: Grid) -> State:
     return state
 
 
+def _density(content, eta, grid: Grid) -> np.ndarray:
+    """Density of the live cell layers from their content rho*l*h."""
+    layout = grid.layout
+    h = layout.l_int_safe * (eta - grid.mesh.b)
+    return np.where(layout.active_int(), content / h, 0.0)
+
+
+def _combine(pairs):
+    """w0*x0 + w1*x1 + ... over (weight, array) pairs, left to right."""
+    (w, x), *rest = pairs
+    total = w * x
+    for w, x in rest:
+        total += w * x
+    return total
+
+
 # ---------------------------------------------------------------------------
 # explicit SSP-RK3 on (eta, u, rho*l*h)
 
@@ -138,45 +155,25 @@ class RK3Integrator:
         self.limiter = limiter
         self.n_rhs = 0
 
-    def _rhs(self, state: State, t: float):
-        self.n_rhs += 1
-        tend = compute_tendencies(state, self.grid, t, limiter=self.limiter)
-        return tend.d_eta, tend.d_u_stiff + tend.d_u_nonstiff, tend.d_r
-
-    def _euler(self, state: State, t: float, dt: float):
-        d_eta, d_u, d_r = self._rhs(state, t)
-        layout, mesh = self.grid.layout, self.grid.mesh
-        r = layout.l_int * (state.eta - mesh.b) * state.rho
-        eta = state.eta + dt * d_eta
-        u = state.u + dt * d_u
-        r = r + dt * d_r
-        rho = np.where(layout.active_int(),
-                       r / (layout.l_int_safe * (eta - mesh.b)), 0.0)
-        return State(eta, u, rho), r
-
     def step(self, state: State, t: float, dt: float) -> State:
         grid = self.grid
-        layout, mesh = grid.layout, grid.mesh
-        l_safe = layout.l_int_safe
-        r0 = layout.l_int * (state.eta - mesh.b) * state.rho
-
-        s1, r1 = self._euler(state, t, dt)
-        _check_state(s1, grid)
-        s2e, r2e = self._euler(s1, t + dt, dt)
-        eta2 = 0.75 * state.eta + 0.25 * s2e.eta
-        u2 = 0.75 * state.u + 0.25 * s2e.u
-        r2 = 0.75 * r0 + 0.25 * r2e
-        rho2 = np.where(layout.active_int(), r2 / (l_safe * (eta2 - mesh.b)), 0.0)
-        s2 = _check_state(State(eta2, u2, rho2), grid)
-
-        s3e, r3e = self._euler(s2, t + 0.5 * dt, dt)
-        eta3 = state.eta / 3.0 + (2.0 / 3.0) * s3e.eta
-        u3 = state.u / 3.0 + (2.0 / 3.0) * s3e.u
-        r3 = r0 / 3.0 + (2.0 / 3.0) * r3e
-        rho3 = np.where(layout.active_int(), r3 / (l_safe * (eta3 - mesh.b)), 0.0)
+        r0 = grid.layout.l_int * (state.eta - grid.mesh.b) * state.rho
+        stage, r = state, r0
+        # Shu-Osher rows: y_s = w y^n + (1 - w) (y_{s-1} + dt L(y_{s-1}, t + c dt))
+        for w, c in ((0.0, 0.0), (0.75, 1.0), (1.0 / 3.0, 0.5)):
+            self.n_rhs += 1
+            tend = compute_tendencies(stage, grid, t + c * dt, limiter=self.limiter)
+            eta = stage.eta + dt * tend.d_eta
+            u = stage.u + dt * (tend.d_u_stiff + tend.d_u_nonstiff)
+            r = r + dt * tend.d_r
+            if w:
+                eta = w * state.eta + (1.0 - w) * eta
+                u = w * state.u + (1.0 - w) * u
+                r = w * r0 + (1.0 - w) * r
+            stage = _check_state(State(eta, u, _density(r, eta, grid)), grid)
         if grid.bounds.periodic:
-            u3[:, -1] = u3[:, 0]
-        return _check_state(State(eta3, u3, rho3), grid)
+            stage.u[:, -1] = stage.u[:, 0]
+        return stage
 
 
 def rk3_step(state: State, grid: Grid, t: float, dt: float,
@@ -378,111 +375,64 @@ class IMEXIntegrator:
         self.n_rhs = 0
         self.n_implicit = 0
 
-    def _nonstiff_stage(self, state: State, t: float):
-        """What stages 2 and 3 consume: the non-stiff momentum tendency and
-        the stage fields."""
-        grid = self.grid
-        self.n_rhs += 1
-        fs = prepare_fields(state, grid, t)
-        G = mass_transfer(fs.u, fs.flux, fs.h_half, grid)
-        return momentum_nonstiff(fs, G, grid, self.limiter), fs
-
     def step(self, state: State, t: float, dt: float) -> State:
         grid = self.grid
-        layout, mesh = grid.layout, grid.mesh
         a, ai, b, c = ARK2.a_ex, ARK2.a_im, ARK2.b, ARK2.c
-        gamma = ai[1, 1]
+        gamma_dt = dt * ai[1, 1]
+        lh_rho_n = grid.layout.l_int * (state.eta - grid.mesh.b) * state.rho
 
-        l_safe = layout.l_int_safe
-        act_i = layout.active_int()
-        h_n = state.eta - mesh.b
-        lh_n = layout.l_int * h_n
-
-        # ---- stage 1 = level n ----------------------------------------
-        # the only stage whose stiff tendencies are evaluated; its interface
-        # height and viscous coefficients freeze the implicit operator
+        # level n, the only stage whose stiff tendencies are evaluated: its
+        # interface height and viscous coefficients freeze the implicit operator
         self.n_rhs += 1
-        fs_n = prepare_fields(state, grid, t)
-        h_half_n = fs_n.h_half
-        u1f, F1 = fs_n.u, fs_n.flux
-        G1 = mass_transfer(u1f, F1, h_half_n, grid)
-        coeffs = viscous_coefficients(grid, h_half_n, u1f)
-        ws = build_implicit_workspace(grid, h_half_n, coeffs, dt * gamma)
-        N1 = momentum_nonstiff(fs_n, G1, grid, self.limiter)
-        S1_u = momentum_stiff(fs_n, coeffs, grid)
-        S1_eta = free_surface_rhs(fs_n, grid)
-        rho1 = state.rho
+        fs = prepare_fields(state, grid, t)
+        h_half = fs.h_half
+        G = mass_transfer(fs.u, fs.flux, h_half, grid)
+        coeffs = viscous_coefficients(grid, h_half, fs.u)
+        ws = build_implicit_workspace(grid, h_half, coeffs, gamma_dt)
+        N = [momentum_nonstiff(fs, G, grid, self.limiter)]
+        S_u, S_eta = [momentum_stiff(fs, coeffs, grid)], [free_surface_rhs(fs, grid)]
+        H = [density_rhs_flux(fs, fs.u, fs.flux, h_half, grid)]
+        V = [vertical_density_term(state.rho, G, grid)]
+        u_f, F, rho = fs.u, fs.flux, state.rho
 
-        # ---- stage 2 ----------------------------------------------------
-        # the stiff tendency S2 comes out of the implicit solve; the stage's
-        # mass flux at the frozen height serves its density, continuity and
-        # mass transfer alike
-        t2 = t + c[1] * dt
-        eta_e2 = state.eta + dt * ai[1, 0] * S1_eta
-        u_e2 = state.u + dt * (a[1, 0] * N1 + ai[1, 0] * S1_u)
-        eta2, u2 = implicit_stage_solve(grid, ws, eta_e2, u_e2, t2)
-        self.n_implicit += 1
-        S2_u = (u2 - u_e2) / (dt * gamma)
-        S2_eta = (eta2 - eta_e2) / (dt * gamma)
-        h2 = eta2 - mesh.b
-        if np.any(h2 <= grid.h_min) or not np.all(np.isfinite(eta2)):
-            raise StepFailure("implicit stage produced a dry or non-finite state")
+        for s in (1, 2):
+            t_s = t + c[s] * dt
+            eta_e = state.eta + dt * _combine(zip(ai[s, :s], S_eta))
+            u_e = state.u + dt * _combine([*zip(a[s, :s], N), *zip(ai[s, :s], S_u)])
+            eta, u = implicit_stage_solve(grid, ws, eta_e, u_e, t_s)
+            self.n_implicit += 1
+            if np.any(eta - grid.mesh.b <= grid.h_min) or not np.all(np.isfinite(eta)):
+                raise StepFailure("implicit stage produced a dry or non-finite state")
+            if s == 1:  # stage 3 reads stage 2's stiff tendency; none reads stage 3's
+                S_u.append((u - u_e) / gamma_dt)
+                S_eta.append((eta - eta_e) / gamma_dt)
 
-        u2f = boundary_velocities(State(eta2, u2, rho1), grid, t2)
-        F2 = layer_flux(u2f, h_half_n, grid, t2)
-        flux_s2 = density_rhs_flux(fs_n, ai[1, 1] * u2f + ai[1, 0] * u1f,
-                                   ai[1, 1] * F2 + ai[1, 0] * F1, h_half_n, grid)
-        vert1 = vertical_density_term(rho1, G1, grid)
-        num2 = lh_n * rho1 + dt * (flux_s2 + a[1, 0] * vert1)
-        rho2 = np.where(act_i, num2 / (l_safe * h2), 0.0)
+            # one mass flux per stage, at the frozen height, serves density,
+            # continuity and mass transfer; the density rides on the implicit
+            # row's carrier, the vertical exchange on the explicit row
+            u_p, F_p = u_f, F
+            u_f = boundary_velocities(State(eta, u, rho), grid, t_s)
+            F = layer_flux(u_f, h_half, grid, t_s)
+            carried = density_rhs_flux(fs, ai[s, s] * u_f + ai[s, s - 1] * u_p,
+                                       ai[s, s] * F + ai[s, s - 1] * F_p, h_half, grid)
+            rest = _combine([*zip(ai[s, :s - 1], H), *zip(a[s, :s], V)])
+            rho = _density(lh_rho_n + dt * (carried + rest), eta, grid)
 
-        N2, fs2 = self._nonstiff_stage(State(eta2, u2, rho2), t2)
-        G2 = mass_transfer(u2f, F2, h_half_n, grid)
+            self.n_rhs += 1
+            fs = prepare_fields(State(eta, u, rho), grid, t_s)
+            G = mass_transfer(fs.u, fs.flux, fs.h_half, grid)
+            N.append(momentum_nonstiff(fs, G, grid, self.limiter))
+            G = mass_transfer(u_f, F, h_half, grid)  # at the frozen height
+            H.append(density_rhs_flux(fs, u_f, F, h_half, grid))
+            V.append(vertical_density_term(rho, G, grid))
 
-        # ---- stage 3 ----------------------------------------------------
-        # its stiff tendency is never needed: b equals the last implicit row
-        t3 = t + c[2] * dt
-        eta_e3 = state.eta + dt * (ai[2, 0] * S1_eta + ai[2, 1] * S2_eta)
-        u_e3 = state.u + dt * (a[2, 0] * N1 + a[2, 1] * N2
-                               + ai[2, 0] * S1_u + ai[2, 1] * S2_u)
-        eta3, u3 = implicit_stage_solve(grid, ws, eta_e3, u_e3, t3)
-        self.n_implicit += 1
-        h3 = eta3 - mesh.b
-        if np.any(h3 <= grid.h_min) or not np.all(np.isfinite(eta3)):
-            raise StepFailure("implicit stage produced a dry or non-finite state")
-
-        u3f = boundary_velocities(State(eta3, u3, rho2), grid, t3)
-        F3 = layer_flux(u3f, h_half_n, grid, t3)
-        flux_s3 = density_rhs_flux(fs2, ai[2, 2] * u3f + ai[2, 1] * u2f,
-                                   ai[2, 2] * F3 + ai[2, 1] * F2, h_half_n, grid)
-        vert2 = vertical_density_term(rho2, G2, grid)
-        flux1 = density_rhs_flux(fs_n, u1f, F1, h_half_n, grid)
-        num3 = lh_n * rho1 + dt * (flux_s3 + a[2, 1] * vert2
-                                   + ai[2, 0] * flux1 + a[2, 0] * vert1)
-        rho3 = np.where(act_i, num3 / (l_safe * h3), 0.0)
-
-        N3, fs3 = self._nonstiff_stage(State(eta3, u3, rho3), t3)
-        G3 = mass_transfer(u3f, F3, h_half_n, grid)
-
-        # ---- assembly ---------------------------------------------------
-        # b equals the last implicit row, so eta^{n+1} = eta3 and the
-        # implicit contributions to u telescope through stage 3.
-        eta_new = eta3
-        u_new = u3 + dt * ((b[0] - a[2, 0]) * N1 + (b[1] - a[2, 1]) * N2
-                           + b[2] * N3)
-        u_new = np.where(grid.evolved_u, u_new, 0.0)
+        # b is the last implicit row: eta^{n+1} = eta3, and the implicit
+        # contributions to u telescope through stage 3
+        u_new = np.where(grid.evolved_u, u + dt * _combine(zip(b - a[2], N)), 0.0)
         if grid.bounds.periodic:
             u_new[:, -1] = u_new[:, 0]
-
-        flux2 = density_rhs_flux(fs2, u2f, F2, h_half_n, grid)
-        flux3 = density_rhs_flux(fs3, u3f, F3, h_half_n, grid)
-        vert3 = vertical_density_term(rho3, G3, grid)
-        num = lh_n * rho1 + dt * (
-            b[0] * (flux1 + vert1) + b[1] * (flux2 + vert2)
-            + b[2] * (flux3 + vert3))
-        h_new = eta_new - mesh.b
-        rho_new = np.where(act_i, num / (l_safe * h_new), 0.0)
-        return _check_state(State(eta_new, u_new, rho_new), grid)
+        content = lh_rho_n + dt * _combine(zip(b, [h + v for h, v in zip(H, V)]))
+        return _check_state(State(eta, u_new, _density(content, eta, grid)), grid)
 
 
 def imex_ark2_step(state: State, grid: Grid, t: float, dt: float,

@@ -34,8 +34,9 @@ class RemapSide:
     cell, is layer `layer[e]` of cell `cell[e]`; it lies in coarse layer
     `parent[e]`, slot `slot[e]`. Slot s, per live layer of each coarse
     interface, is layer `slot_layer[s]` of the coarse interface of cell
-    `slot_cell[s]`; its lowest entry is layer `slot_first[s]`. Both run by
-    cell, then layer; `l_fine` and `l_coarse` are their fractions."""
+    `slot_cell[s]`; its lowest entry is entry `first[s]`, layer
+    `slot_first[s]`. Both run by cell, then layer; `l_fine` and `l_coarse`
+    are their fractions."""
 
     side: int
     layer: np.ndarray
@@ -46,6 +47,7 @@ class RemapSide:
     slot_layer: np.ndarray
     slot_cell: np.ndarray
     slot_first: np.ndarray
+    first: np.ndarray
     l_coarse: np.ndarray
 
     def at_coarse(self, a: np.ndarray) -> np.ndarray:
@@ -53,9 +55,13 @@ class RemapSide:
         return a[:, self.side:a.shape[1] - 1 + self.side]
 
     def restrict(self, values: np.ndarray) -> np.ndarray:
-        """Thickness-weighted mean of the entries' values per slot, summed in order."""
-        return np.bincount(self.slot, weights=self.l_fine * values,
-                           minlength=self.l_coarse.size) / self.l_coarse
+        """Thickness-weighted mean of the entries' values per slot: the slot's
+        lowest value plus the mean deviation from it, summed in order, so that
+        a constant restricts to itself exactly."""
+        base = values[self.first]
+        deviation = self.l_fine * (values - base[self.slot])
+        return base + np.bincount(self.slot, weights=deviation,
+                                  minlength=self.l_coarse.size) / self.l_coarse
 
 
 @dataclass(frozen=True)
@@ -137,7 +143,8 @@ def _remap_side(side, cells, n_half, l_half, n_int, l_int):
     return RemapSide(side=side, layer=layer, cell=cells[k], parent=parent[layer, k],
                      l_fine=l_int[layer, cells[k]], slot=slot,
                      slot_layer=slot_layer, slot_cell=cells[ks],
-                     slot_first=layer[first], l_coarse=l_half[slot_layer, coarse[ks]])
+                     slot_first=layer[first], first=first,
+                     l_coarse=l_half[slot_layer, coarse[ks]])
 
 
 def build_layout(mesh, regions) -> LayerLayout:

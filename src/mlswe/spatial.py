@@ -11,7 +11,7 @@ baroclinic pressure terms), the mass-flux divergence and the density term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -212,10 +212,8 @@ class FieldSet:
     u: np.ndarray         # (n_max, M+1) with boundary columns applied
     eta_g: np.ndarray     # (M+2,)
     b_g: np.ndarray       # (M+2,)
-    h: np.ndarray         # (M,)
     h_g: np.ndarray       # (M+2,)
     h_half: np.ndarray    # (M+1,)
-    ubar: np.ndarray      # (M+1,)
     rho_L: np.ndarray     # (n_max, M+1)
     rho_R: np.ndarray     # (n_max, M+1)
     rho_half: np.ndarray  # (n_max, M+1) upwind at velocity points
@@ -225,31 +223,23 @@ class FieldSet:
 
 def prepare_fields(state: State, grid: Grid, t: float) -> FieldSet:
     """Assemble the upwind interface quantities for one RHS evaluation."""
-    mesh, layout = grid.mesh, grid.layout
+    layout = grid.layout
     u_full, eta_g, rho_g, b_g = boundary_values(state, grid, t)
 
     h_g = eta_g - b_g
-    h = h_g[1:-1]
-    if np.any(h <= grid.h_min):
+    if np.any(h_g[1:-1] <= grid.h_min):
         raise DryStateError("water depth below h_min")
 
-    act_h = layout.active_half()
     ubar = np.sum(layout.l_half * u_full, axis=0)
     h_half = upwind_interface(h_g[:-1], h_g[1:], ubar)
+    flux = layer_flux(u_full, h_half, grid, t)
 
     rho_L, rho_R = interface_cell_scalars(rho_g, grid)
-    rho_half = np.where(act_h, upwind_interface(rho_L, rho_R, u_full), 0.0)
-    fs = FieldSet(u=u_full, eta_g=eta_g, b_g=b_g, h=h, h_g=h_g,
-                  h_half=None, ubar=ubar, rho_L=rho_L, rho_R=rho_R,
-                  rho_half=rho_half, flux=None, F=None)
-    return with_height(fs, grid, t, h_half)
-
-
-def with_height(fs: FieldSet, grid: Grid, t: float, h_half) -> FieldSet:
-    """fs with interface height h_half and the mass flux that follows; no
-    other field depends on it."""
-    flux = layer_flux(fs.u, h_half, grid, t)
-    return replace(fs, h_half=h_half, flux=flux, F=np.sum(flux, axis=0))
+    rho_half = np.where(layout.active_half(),
+                        upwind_interface(rho_L, rho_R, u_full), 0.0)
+    return FieldSet(u=u_full, eta_g=eta_g, b_g=b_g, h_g=h_g, h_half=h_half,
+                    rho_L=rho_L, rho_R=rho_R, rho_half=rho_half, flux=flux,
+                    F=np.sum(flux, axis=0))
 
 
 def layer_flux(u, h_half, grid: Grid, t: float) -> np.ndarray:

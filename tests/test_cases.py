@@ -106,22 +106,43 @@ def test_case_spec_validation():
     spec = m.case_internal_wave()
     other = spec.with_options(dt=0.01)
     assert other.dt == 0.01 and spec.dt == 0.04
+    # no step cap and no blow-up threshold to set: dt_max = -1 used to run
+    # backwards in time
+    for unknown in ("dt_max", "u_blowup"):
+        with pytest.raises(TypeError):
+            m.case_lock_exchange(**{unknown: -1.0})
+    # an infinite output interval keeps the first and the last state
+    result = m.run_case(m.case_lock_exchange(M=20, t_final=0.3,
+                                             output_interval=float("inf")))
+    assert result.times == pytest.approx([0.0, 0.3])
+
+
+# what the spec says about the last field of each bad input
+RULES = {"dt": "positive and finite", "target_ccel": "positive and finite",
+         "output_interval": "positive", "t_final": "nonnegative and finite"}
 
 
 @pytest.mark.parametrize("bad", [
     {"dt": 0.0}, {"dt": -0.1}, {"dt": float("nan")}, {"dt": float("inf")},
-    {"dt": None, "target_ccel": 0.0}, {"dt": None, "target_ccel": -0.9}])
+    {"dt": None, "target_ccel": 0.0}, {"dt": None, "target_ccel": -0.9},
+    {"output_interval": 0.0}, {"output_interval": -0.4},
+    {"output_interval": float("nan")}, {"t_final": float("nan")},
+    {"t_final": float("inf")}])
 def test_case_spec_rejects_bad_time_steps(bad, monkeypatch):
-    """dt = 0 used to hang the run and dt < 0 to run backwards in time; the
-    spec now refuses them when it is built, before any step."""
+    """dt = 0 used to hang the run and dt < 0 to run backwards in time;
+    output_interval = 0 failed inside the banded solve, < 0 ran backwards
+    and NaN wrote 2 snapshots instead of 11; t_final = NaN "completed" 0
+    steps. The spec now refuses them when it is built, before any step."""
     def no_step(*args, **kwargs):
         raise AssertionError("a step was started")
 
     for cls in (m.RK3Integrator, m.IMEXIntegrator):
         monkeypatch.setattr(cls, "step", no_step)
-    with pytest.raises(ValueError, match="must be positive and finite"):
+    name = list(bad)[-1]
+    match = f"{name} must be {RULES[name]}"
+    with pytest.raises(ValueError, match=match):
         m.run_case(m.case_lock_exchange(integrator="rk3", **bad))
-    with pytest.raises(ValueError, match="must be positive and finite"):
+    with pytest.raises(ValueError, match=match):
         m.case_internal_wave().with_options(**bad)
 
 

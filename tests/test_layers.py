@@ -74,7 +74,7 @@ def test_remap_on_both_sides(mesh):
         assert side.slot.tolist() == [0, 0, 1, 1]
         assert np.array_equal(side.l_fine, [0.1, 0.4, 0.3, 0.2])
         assert side.slot_layer.tolist() == [0, 1]
-        assert side.slot_first.tolist() == [0, 2]
+        assert side.slot_first.tolist() == [0, 2] and side.first.tolist() == [0, 2]
         assert np.array_equal(side.l_coarse, [0.5, 0.5])
         # thickness-weighted mean, and a constant restricts to itself
         assert np.allclose(side.restrict(np.array([1.0, 2.0, 3.0, 4.0])),

@@ -6,7 +6,7 @@ coarse fraction table, a random refinement of it, the middle region
 two ends, and a random symmetric bottom bump. Both integrators must conserve
 volume and density content, commute with the mirror x -> -x, keep a
 constant density constant while the flow moves, and leave a flat-bottom
-rest state at rest (to the round-off of restricting its density).
+rest state exactly at rest.
 
 The same basins with a wall, a discharge or an elevation at either end must
 commute with the mirror that also swaps the ends, and gain the prescribed
@@ -100,12 +100,8 @@ def test_variable_layout_invariants(basin):
     rest = m.rest_state(flat.mesh, layout, eta0=1.0)
     rest.rho = const.rho
     tend = m.compute_tendencies(rest, flat, 0.0)
-    for d in (tend.d_eta, tend.d_u_stiff, tend.d_r):
+    for d in (tend.d_eta, tend.d_u_stiff, tend.d_u_nonstiff, tend.d_r):
         assert np.all(d == 0.0)
-    # exactly 0 only where the restriction of the constant density onto a
-    # coarse interface rounds back to it: the thickness-weighted mean of
-    # 0.02 can come out an ulp off, and the baroclinic pressure acts on that
-    assert np.max(np.abs(tend.d_u_nonstiff)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
