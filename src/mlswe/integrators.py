@@ -37,7 +37,8 @@ from .spatial import (Grid, ViscousCoeffs, boundary_velocities,
                       compute_tendencies, density_rhs_flux, free_surface_rhs,
                       ghost_elevation, layer_flux, mass_transfer,
                       momentum_nonstiff, momentum_stiff, prepare_fields,
-                      vertical_density_term, viscous_coefficients)
+                      upwind_interface, vertical_density_term,
+                      viscous_coefficients)
 from .state import State
 
 SQRT2 = np.sqrt(2.0)
@@ -213,10 +214,10 @@ class ImplicitWorkspace:
     h_half: np.ndarray          # (M+1,)
     coeffs: ViscousCoeffs
     gamma_dt: float             # dt * a_im diagonal
-    sub: np.ndarray             # vertical tridiagonal of (I - gamma_dt * A)
-    diag: np.ndarray
-    sup: np.ndarray
-    k_const: np.ndarray         # (n_max, M+1) constant forcing (wind)
+    sub: np.ndarray | float     # vertical tridiagonal of (I - gamma_dt * A),
+    diag: np.ndarray | float    # the scalars 0, 1, 0 if it is the identity
+    sup: np.ndarray | float     # (trivial coefficients)
+    k_const: np.ndarray | float  # (n_max, M+1) constant forcing (wind), or 0
     w_hat: np.ndarray           # (n_max, M+1) velocity response to grad eta
     W: np.ndarray               # (M+1,) its column flux h * sum(l * w_hat),
                                 # 0 at discharge ends, W[M] = W[0] if periodic
@@ -229,10 +230,11 @@ class ImplicitWorkspace:
     v_z: float                  # periodic: v . z
 
 
-def build_implicit_workspace(grid: Grid, h_half, coeffs: ViscousCoeffs,
-                             gamma_dt: float) -> ImplicitWorkspace:
-    layout, mesh = grid.layout, grid.mesh
-    n_max, Mp1, M = layout.n_max, h_half.size, mesh.M
+def _vertical_matrix(grid: Grid, h_half, coeffs: ViscousCoeffs, gamma_dt: float):
+    """(sub, diag, sup, k_const): the vertical tridiagonal of
+    (I - gamma_dt * A) in every column and the constant forcing k."""
+    layout = grid.layout
+    n_max, Mp1 = layout.n_max, h_half.size
     act = layout.active_half()
     inv_lh = 1.0 / (layout.l_half_safe * h_half)
 
@@ -259,13 +261,21 @@ def build_implicit_workspace(grid: Grid, h_half, coeffs: ViscousCoeffs,
     k_const[top, cols] = coeffs.c_wind * coeffs.u_wind * inv_lh[top, cols]
     k_const = np.where(act, k_const, 0.0)
 
-    sub = -gamma_dt * sub_a
     diag = np.where(act, 1.0 - gamma_dt * diag_a, 1.0)
-    sup = -gamma_dt * sup_a
+    return -gamma_dt * sub_a, diag, -gamma_dt * sup_a, k_const
+
+
+def build_implicit_workspace(grid: Grid, h_half, coeffs: ViscousCoeffs,
+                             gamma_dt: float) -> ImplicitWorkspace:
+    layout, mesh, M = grid.layout, grid.mesh, grid.mesh.M
     # the same matrix and right-hand side in every stage of the step; with
     # trivial coefficients the matrix is exactly the identity
-    ones = np.where(act, gamma_dt * grid.params.g / mesh.dx_half, 0.0)
-    w_hat = ones if coeffs.trivial else _thomas(sub, diag, sup, ones)
+    ones = np.where(layout.active_half(), gamma_dt * grid.params.g / mesh.dx_half, 0.0)
+    if coeffs.trivial:
+        (sub, diag, sup, k_const), w_hat = (0.0, 1.0, 0.0, 0.0), ones
+    else:
+        sub, diag, sup, k_const = _vertical_matrix(grid, h_half, coeffs, gamma_dt)
+        w_hat = _thomas(sub, diag, sup, ones)
 
     # free surface: column flux K + W * (jump of eta) at each interface; an
     # end of prescribed discharge fixes it to its flux, free of eta
@@ -311,11 +321,13 @@ def implicit_stage_solve(grid: Grid, ws: ImplicitWorkspace,
     Velocities at non-evolved boundary columns are returned as zero;
     prescribed values are reapplied on evaluation.
     """
-    layout, M = grid.layout, grid.mesh.M
+    M = grid.mesh.M
     fac, W = ws.fac, ws.W
     periodic = grid.bounds.periodic
 
-    rhs_u = np.where(layout.active_half(), u_expl + ws.gamma_dt * ws.k_const, 0.0)
+    # the padded layers stay decoupled in the solve and carry no flux; the
+    # returned velocities are masked below
+    rhs_u = u_expl + ws.gamma_dt * ws.k_const
     u_hat = rhs_u if ws.coeffs.trivial else _thomas(ws.sub, ws.diag, ws.sup, rhs_u)
 
     # the stage's column flux, prescribed at the discharge ends
@@ -391,7 +403,7 @@ class IMEXIntegrator:
         ws = build_implicit_workspace(grid, h_half, coeffs, gamma_dt)
         N = [momentum_nonstiff(fs, G, grid, self.limiter)]
         S_u, S_eta = [momentum_stiff(fs, coeffs, grid)], [free_surface_rhs(fs, grid)]
-        H = [density_rhs_flux(fs, fs.u, fs.flux, h_half, grid)]
+        H = [density_rhs_flux(fs.rho_half, fs.u, fs.flux, h_half, grid)]
         V = [vertical_density_term(state.rho, G, grid)]
         u_f, F, rho = fs.u, fs.flux, state.rho
 
@@ -413,8 +425,10 @@ class IMEXIntegrator:
             u_p, F_p = u_f, F
             u_f = boundary_velocities(State(eta, u, rho), grid, t_s)
             F = layer_flux(u_f, h_half, grid, t_s)
-            carried = density_rhs_flux(fs, ai[s, s] * u_f + ai[s, s - 1] * u_p,
-                                       ai[s, s] * F + ai[s, s - 1] * F_p, h_half, grid)
+            carrier = ai[s, s] * u_f + ai[s, s - 1] * u_p
+            carried = density_rhs_flux(upwind_interface(fs.rho_L, fs.rho_R, carrier),
+                                       carrier, ai[s, s] * F + ai[s, s - 1] * F_p,
+                                       h_half, grid)
             rest = _combine([*zip(ai[s, :s - 1], H), *zip(a[s, :s], V)])
             rho = _density(lh_rho_n + dt * (carried + rest), eta, grid)
 
@@ -423,12 +437,12 @@ class IMEXIntegrator:
             G = mass_transfer(fs.u, fs.flux, fs.h_half, grid)
             N.append(momentum_nonstiff(fs, G, grid, self.limiter))
             G = mass_transfer(u_f, F, h_half, grid)  # at the frozen height
-            H.append(density_rhs_flux(fs, u_f, F, h_half, grid))
+            H.append(density_rhs_flux(fs.rho_half, u_f, F, h_half, grid))
             V.append(vertical_density_term(rho, G, grid))
 
         # b is the last implicit row: eta^{n+1} = eta3, and the implicit
         # contributions to u telescope through stage 3
-        u_new = np.where(grid.evolved_u, u + dt * _combine(zip(b - a[2], N)), 0.0)
+        u_new = u + dt * _combine(zip(b - a[2], N))  # both zero off evolved_u
         if grid.bounds.periodic:
             u_new[:, -1] = u_new[:, 0]
         content = lh_rho_n + dt * _combine(zip(b, [h + v for h, v in zip(H, V)]))

@@ -7,6 +7,14 @@ call separately: the stiff momentum term (barotropic pressure gradient,
 vertical viscosity), the non-stiff one (momentum advection, transfer terms,
 baroclinic pressure terms), the mass-flux divergence and the density term.
 `compute_tendencies` composes all of them.
+
+The operators rely on zero padding: the layer fractions `l_half`/`l_int`
+are zero above the live layers, and so are the state's u and rho, the
+interface densities and every per-layer flux built from them. A product
+with a fraction or a flux is therefore already zero off the live layers and
+needs no mask. Data that depends on the grid alone (masks, prefix sums of
+the fractions, metric factors) is built once, read-only, as a cached
+property of `Grid`; the operators never write into their inputs.
 """
 
 from __future__ import annotations
@@ -21,6 +29,26 @@ from .bc import Boundaries, closed
 from .layers import LayerLayout
 from .mesh import Mesh1D
 from .state import H_MIN_DEFAULT, DryStateError, PhysParams, State
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+class AdvectionColumns(NamedTuple):
+    """Per column of `momentum_advection` (the M+1 interfaces; the M unique
+    ones, wrapping, if periodic)."""
+
+    left: np.ndarray             # a left neighbour exists
+    right: np.ndarray            # a right neighbour exists
+    inv_dx_left: np.ndarray      # 1/dx_half with a left neighbour, else 0
+    inv_dx_right: np.ndarray     # 1/dx_half with a right neighbour, else 0
+    half_corr_left: np.ndarray   # 1/2 where the upstream-left (right)
+    half_corr_right: np.ndarray  # curvature correction applies, else 0
+                                 # (first order next to a transition or an end)
+    remap: tuple                 # per remap side the columns of its entries'
+                                 # fine interfaces and of its slots' coarse ones
 
 
 class End(NamedTuple):
@@ -64,9 +92,37 @@ class Grid:
         """Read-only (M+2,) bathymetry; each ghost repeats the cell through
         its boundary."""
         left, right = self.ends
-        b_g = self.mesh.b[np.r_[left.cell, :self.mesh.M, right.cell]]
-        b_g.setflags(write=False)
-        return b_g
+        return _read_only(self.mesh.b[np.r_[left.cell, :self.mesh.M, right.cell]])
+
+    @cached_property
+    def db(self) -> np.ndarray:
+        """Read-only (M+1,) bathymetry jump across each interface."""
+        return _read_only(self.b_g[1:] - self.b_g[:-1])
+
+    @cached_property
+    def grad_factor(self) -> np.ndarray:
+        """Read-only (M+1,) -g/dx_half: turns a jump of pressure head across
+        an interface into an acceleration."""
+        return _read_only(-(self.params.g / self.mesh.dx_half))
+
+    @cached_property
+    def mid_depth(self) -> np.ndarray:
+        """Read-only (n_max, M+1) column fraction below the middle of each
+        interface layer (1 above the live layers)."""
+        l = self.layout.l_half
+        return _read_only(np.cumsum(l, axis=0) - l + 0.5 * l)
+
+    @cached_property
+    def l_dx_half(self) -> np.ndarray:
+        """Read-only (n_max, M+1) divisor-safe l_half times dx_half."""
+        return _read_only(self.layout.l_half_safe * self.mesh.dx_half)
+
+    @cached_property
+    def inner_interfaces(self) -> np.ndarray:
+        """Read-only (n_max, M) mask of the layer interfaces k = 1..n_max of
+        each cell (row k-1) that lie strictly inside its column."""
+        k = np.arange(1, self.layout.n_max + 1)[:, None]
+        return _read_only(k < self.layout.n_int[None, :])
 
     @cached_property
     def evolved_u(self) -> np.ndarray:
@@ -78,17 +134,11 @@ class Grid:
             evolved[end.iface] = False
         if self.bounds.periodic:
             evolved[-1] = False  # alias of column 0
-        mask = evolved[None, :] & self.layout.active_half()
-        mask.setflags(write=False)
-        return mask
+        return _read_only(evolved[None, :] & self.layout.active_half())
 
     @cached_property
-    def advection_columns(self) -> tuple:
-        """Per column of `momentum_advection` (the M+1 interfaces; the M unique
-        ones, wrapping, if periodic): left/right neighbour exists, no
-        upstream-left/right curvature (first order next to a transition cell);
-        and per remap side the columns of its entries' fine interfaces and of
-        its slots' coarse ones."""
+    def advection_columns(self) -> AdvectionColumns:
+        """The read-only `AdvectionColumns` of `momentum_advection`."""
         M, periodic = self.mesh.M, self.bounds.periodic
         n = M if periodic else M + 1
         jj = np.arange(n)
@@ -102,7 +152,11 @@ class Grid:
         no_corr_p = first_only | (at(jj + 2) < 0) | np.isin(jj, at(trans - 1))
         remap = tuple((at(s.cell + 1 - s.side), at(s.slot_cell + s.side))
                       for s in self.layout.remap)
-        return at(jj - 1) >= 0, at(jj + 1) >= 0, no_corr_m, no_corr_p, remap
+        left, right = at(jj - 1) >= 0, at(jj + 1) >= 0
+        inv_dx = 1.0 / self.mesh.dx_half[:n]
+        return AdvectionColumns(*map(_read_only, (
+            left, right, np.where(left, inv_dx, 0.0), np.where(right, inv_dx, 0.0),
+            np.where(no_corr_m, 0.0, 0.5), np.where(no_corr_p, 0.0, 0.5))), remap)
 
     def __post_init__(self):
         """Reject boundary input that does not fit the layout."""
@@ -126,8 +180,7 @@ class Grid:
 def upwind_interface(left, right, carrier):
     """Upwind selection: carrier > 0 picks left, < 0 picks right, exact zero
     gives the arithmetic average (preserves rest states and symmetry)."""
-    s = np.sign(carrier)
-    return 0.5 * (left + right) - 0.5 * s * (right - left)
+    return 0.5 * ((left + right) - np.sign(carrier) * (right - left))
 
 
 def minmod(a, b):
@@ -183,11 +236,13 @@ def interface_cell_scalars(rho_g, grid: Grid):
     """Cell densities seen from each interface, in that interface's layering.
 
     Returns (rho_L, rho_R), each (n_max, M+1). Away from layer-count
-    transitions these are plain neighbour copies; a coarse interface of a
-    transition cell sees the restriction of the cell's column.
+    transitions these are the neighbours' values (views of rho_g on a
+    bounded grid without transitions); a coarse interface of a transition
+    cell sees the restriction of the cell's column.
     """
-    rho_L = rho_g[:, :-1].copy()
-    rho_R = rho_g[:, 1:].copy()
+    rho_L, rho_R = rho_g[:, :-1], rho_g[:, 1:]
+    if grid.layout.remap or grid.bounds.periodic:  # rewritten below
+        rho_L, rho_R = rho_L.copy(), rho_R.copy()
     rho = rho_g[:, 1:-1]
     for side in grid.layout.remap:
         out = side.at_coarse((rho_R, rho_L)[side.side])
@@ -235,10 +290,9 @@ def prepare_fields(state: State, grid: Grid, t: float) -> FieldSet:
     flux = layer_flux(u_full, h_half, grid, t)
 
     rho_L, rho_R = interface_cell_scalars(rho_g, grid)
-    rho_half = np.where(layout.active_half(),
-                        upwind_interface(rho_L, rho_R, u_full), 0.0)
     return FieldSet(u=u_full, eta_g=eta_g, b_g=b_g, h_g=h_g, h_half=h_half,
-                    rho_L=rho_L, rho_R=rho_R, rho_half=rho_half, flux=flux,
+                    rho_L=rho_L, rho_R=rho_R,
+                    rho_half=upwind_interface(rho_L, rho_R, u_full), flux=flux,
                     F=np.sum(flux, axis=0))
 
 
@@ -261,21 +315,26 @@ def free_surface_rhs(fs: FieldSet, grid: Grid) -> np.ndarray:
     return -(fs.F[1:] - fs.F[:-1]) / grid.mesh.dx
 
 
-def _cell_layer_flux(per_layer_iface, extra_iface, grid: Grid):
+def _cell_layer_flux(per_layer_iface, grid: Grid, h_half, *factors):
     """Per-layer interface fluxes seen from each cell, in the cell layering.
 
-    per_layer_iface is (n_max, M+1) in interface layering (already a product
-    l_half*h_half*u[*rho]); extra_iface carries h_half*u[*rho] without the
-    fraction so transition cells can reweight with their own fractions.
-    Returns (left, right) of shape (n_max, M).
+    per_layer_iface is (n_max, M+1) in interface layering, the product
+    l_half*h_half*factors; a transition cell reweights h_half*factors of
+    each parent layer at its coarse interface with its own fractions.
+    Returns (left, right) of shape (n_max, M), views of per_layer_iface
+    unless the layout has transitions.
     """
-    left = per_layer_iface[:, :-1].copy()
-    right = per_layer_iface[:, 1:].copy()
+    left, right = per_layer_iface[:, :-1], per_layer_iface[:, 1:]
+    if grid.layout.remap:  # rewritten below
+        left, right = left.copy(), right.copy()
     for side in grid.layout.remap:
+        j = side.cell + side.side  # each entry's coarse interface
+        coarse = h_half[j]
+        for f in factors:
+            coarse = coarse * f[side.parent, j]
         out = (left, right)[side.side]
         out[:, side.cell] = 0.0
-        out[side.layer, side.cell] = side.l_fine * side.at_coarse(extra_iface)[
-            side.parent, side.cell]
+        out[side.layer, side.cell] = side.l_fine * coarse
     return left, right
 
 
@@ -287,19 +346,13 @@ def mass_transfer(u, flux, h_half, grid: Grid) -> np.ndarray:
     and n_int[i] are exactly zero and the per-cell telescoping sum vanishes
     by construction.
     """
-    layout = grid.layout
-    left, right = _cell_layer_flux(flux, h_half * u, grid)
+    left, right = _cell_layer_flux(flux, grid, h_half, u)
     D = right - left
-    SD = np.sum(D, axis=0)
-    act = layout.active_int()
-    term = np.where(act, D - layout.l_int * SD, 0.0)
-
-    n_max, M = layout.n_max, grid.mesh.M
-    G = np.zeros((n_max + 1, M))
-    G[1:, :] = np.cumsum(term, axis=0)
-    # bottom/surface entries are identically zero
-    kk = np.arange(n_max + 1)[:, None]
-    G[kk >= layout.n_int[None, :]] = 0.0
+    term = D - grid.layout.l_int * np.sum(D, axis=0)
+    G = np.zeros((grid.layout.n_max + 1, grid.mesh.M))
+    # the surface entry and those above it are zero, not the round-off of
+    # the telescoped sum
+    np.multiply(np.cumsum(term, axis=0), grid.inner_interfaces, out=G[1:])
     return G
 
 
@@ -311,32 +364,28 @@ def density_interface_value(rho, G_inner, active_vert) -> np.ndarray:
     """
     avg = 0.5 * (rho[:-1, :] + rho[1:, :])
     jump = rho[1:, :] - rho[:-1, :]
-    val = avg - 0.5 * np.sign(-G_inner) * jump
+    val = avg + 0.5 * np.sign(G_inner) * jump
     return np.where(active_vert, val, 0.0)
 
 
-def density_rhs_flux(fs_rho: FieldSet, carrier_u, flux, h_half,
-                     grid: Grid) -> np.ndarray:
+def density_rhs_flux(rho_up, carrier_u, flux, h_half, grid: Grid) -> np.ndarray:
     """Conservative horizontal flux divergence of l*h*rho*u per cell layer.
 
-    The interface densities of fs_rho, upwinded by carrier_u, ride on the
-    per-layer mass flux `flux` that carrier_u carries at height h_half: the
-    flux of the continuity update, so a constant density stays constant.
-    Returns (n_max, M), already divided by dx.
+    The interface densities rho_up, upwinded by carrier_u (a field set's
+    `rho_half` if the carrier is its `u`), ride on the per-layer mass flux
+    `flux` that carrier_u carries at height h_half: the flux of the
+    continuity update, so a constant density stays constant. Returns
+    (n_max, M), already divided by dx.
     """
-    rho_up = np.where(grid.layout.active_half(),
-                      upwind_interface(fs_rho.rho_L, fs_rho.rho_R, carrier_u), 0.0)
-    left, right = _cell_layer_flux(flux * rho_up, h_half * carrier_u * rho_up, grid)
+    left, right = _cell_layer_flux(flux * rho_up, grid, h_half, carrier_u, rho_up)
     return -(right - left) / grid.mesh.dx
 
 
 def vertical_density_term(rho_stage, G, grid: Grid) -> np.ndarray:
     """Vertical exchange term of the density equation, divided by dx."""
-    layout = grid.layout
-    n_max = layout.n_max
-    kk = np.arange(1, n_max)[:, None]
-    active_vert = kk < layout.n_int[None, :]
-    rho_v = density_interface_value(rho_stage, G[1:n_max, :], active_vert)
+    n_max = grid.layout.n_max
+    rho_v = density_interface_value(rho_stage, G[1:n_max, :],
+                                    grid.inner_interfaces[:-1])
     rg = np.zeros_like(G)
     rg[1:n_max, :] = rho_v * G[1:n_max, :]
     return (rg[1:, :] - rg[:-1, :]) / grid.mesh.dx
@@ -350,14 +399,15 @@ def momentum_advection(fs: FieldSet, grid: Grid, limiter: bool) -> np.ndarray:
     """u * du/dx at the velocity points, upstream-biased second order with an
     optional minmod blend toward first-order upwind."""
     layout, u = grid.layout, fs.u
-    vm1, vp1, no_corr_m, no_corr_p, remap = grid.advection_columns
-    n = vm1.size
+    cols = grid.advection_columns
+    n = cols.left.size
     ends = ((u[:, n - 2:n], u[:, :2]) if n == grid.mesh.M  # periodic: wrap
             else (np.zeros((layout.n_max, 2)),) * 2)
     u_pad = np.hstack([ends[0], u[:, :n], ends[1]])
     um2, um1, ucol, up1, up2 = (u_pad[:, k:k + n] for k in range(5))
-    um1, up1, dxh = um1.copy(), up1.copy(), grid.mesh.dx_half[:n]  # remapped below
-    for side, (fine, coarse) in zip(layout.remap, remap):
+    if layout.remap:  # rewritten below
+        um1, up1 = um1.copy(), up1.copy()
+    for side, (fine, coarse) in zip(layout.remap, cols.remap):
         # neighbours across a transition cell, each in the other's layering
         toward_coarse, toward_fine = (um1, up1) if side.side == 0 else (up1, um1)
         toward_coarse[:, fine] = 0.0
@@ -373,21 +423,17 @@ def momentum_advection(fs: FieldSet, grid: Grid, limiter: bool) -> np.ndarray:
     # u > 0: upstream on the left
     corr_m = d1 - d0
     if limiter:
-        lim = minmod(corr_m, e1 - d1)
-        corr_m = np.where(vp1[None, :], lim, corr_m)
-    corr_m = np.where(no_corr_m[None, :], 0.0, corr_m)
-    s_pos = np.where(vm1[None, :], (d1 + 0.5 * corr_m) / dxh, 0.0)
+        corr_m = np.where(cols.right, minmod(corr_m, e1 - d1), corr_m)
+    s_pos = (d1 + cols.half_corr_left * corr_m) * cols.inv_dx_left
 
     # u < 0: upstream on the right
     corr_p = e1 - e2
     if limiter:
-        lim = minmod(corr_p, d1 - e1)
-        corr_p = np.where(vm1[None, :], lim, corr_p)
-    corr_p = np.where(no_corr_p[None, :], 0.0, corr_p)
-    s_neg = np.where(vp1[None, :], (e1 + 0.5 * corr_p) / dxh, 0.0)
+        corr_p = np.where(cols.left, minmod(corr_p, d1 - e1), corr_p)
+    s_neg = (e1 + cols.half_corr_right * corr_p) * cols.inv_dx_right
 
-    slope = np.where(ucol > 0.0, s_pos, np.where(ucol < 0.0, s_neg, 0.0))
-    adv = ucol * slope
+    # u == 0 takes s_neg, and gives 0 all the same
+    adv = ucol * np.where(ucol > 0.0, s_pos, s_neg)
     if n == grid.mesh.M:  # periodic: the alias column M repeats column 0
         adv = np.concatenate([adv, adv[:, :1]], axis=1)
     return adv
@@ -396,35 +442,23 @@ def momentum_advection(fs: FieldSet, grid: Grid, limiter: bool) -> np.ndarray:
 def baroclinic_gradient(fs: FieldSet, grid: Grid) -> np.ndarray:
     """Density pressure terms per velocity point (non-stiff, sign ready to
     add to du/dt)."""
-    layout, mesh, g = grid.layout, grid.mesh, grid.params.g
-    l = layout.l_half
-    act = layout.active_half()
-
     hL, hR = fs.h_g[:-1], fs.h_g[1:]
-    drh = np.where(act, l * (fs.rho_R * hR - fs.rho_L * hL), 0.0)
+    drh = grid.layout.l_half * (fs.rho_R * hR - fs.rho_L * hL)
     # sum over beta > alpha (exclusive reverse cumulative sum)
     tail = np.flip(np.cumsum(np.flip(drh, axis=0), axis=0), axis=0) - drh
-    term1 = -(g / mesh.dx_half) * (tail + 0.5 * drh)
-
-    csum = np.cumsum(l, axis=0) - l  # sum over beta < alpha
-    dh = hR - hL
-    db = fs.b_g[1:] - fs.b_g[:-1]
-    term2 = -(g / mesh.dx_half) * fs.rho_half * (db + dh * (csum + 0.5 * l))
-    return np.where(act, term1 + term2, 0.0)
+    return grid.grad_factor * (tail + 0.5 * drh + fs.rho_half * (
+        grid.db + (hR - hL) * grid.mid_depth))
 
 
 def momentum_transfer_term(fs: FieldSet, G: np.ndarray, grid: Grid) -> np.ndarray:
     """Transfer contribution G * delta_u at velocity points (non-stiff)."""
-    layout, mesh = grid.layout, grid.mesh
-    n_max, M = layout.n_max, mesh.M
-
+    n_max, M = grid.layout.n_max, grid.mesh.M
     Gv = _transfer_at_velocity_points(G, grid)  # (n_max+1, M+1)
     dU = np.zeros((n_max + 1, M + 1))
     dU[1:n_max, :] = 0.5 * (fs.u[1:, :] - fs.u[:-1, :])
     contrib = dU * Gv
     num = contrib[1:, :] + contrib[:-1, :]
-    out = num / (layout.l_half_safe * fs.h_half * mesh.dx_half)
-    return np.where(layout.active_half(), out, 0.0)
+    return num / (fs.h_half * grid.l_dx_half)
 
 
 def _transfer_at_velocity_points(G, grid: Grid):
@@ -530,8 +564,7 @@ class Tendencies:
 
 
 def barotropic_gradient(fs: FieldSet, grid: Grid) -> np.ndarray:
-    g = grid.params.g
-    grad = -(g / grid.mesh.dx_half) * (fs.eta_g[1:] - fs.eta_g[:-1])
+    grad = grid.grad_factor * (fs.eta_g[1:] - fs.eta_g[:-1])
     return np.where(grid.layout.active_half(), grad, 0.0)
 
 
@@ -554,8 +587,8 @@ def momentum_nonstiff(fs: FieldSet, G, grid: Grid, limiter: bool) -> np.ndarray:
 
 def density_tendency(fs: FieldSet, G, rho, grid: Grid) -> np.ndarray:
     """Conservative density tendency d(rho*l*h)/dt per live cell layer."""
-    d_r = density_rhs_flux(fs, fs.u, fs.flux, fs.h_half, grid) + vertical_density_term(
-        rho, G, grid)
+    d_r = density_rhs_flux(fs.rho_half, fs.u, fs.flux, fs.h_half, grid) + (
+        vertical_density_term(rho, G, grid))
     return np.where(grid.layout.active_int(), d_r, 0.0)
 
 

@@ -6,7 +6,10 @@ coarse fraction table, a random refinement of it, the middle region
 two ends, and a random symmetric bottom bump. Both integrators must conserve
 volume and density content, commute with the mirror x -> -x, keep a
 constant density constant while the flow moves, and leave a flat-bottom
-rest state exactly at rest.
+rest state exactly at rest. The same basins are periodic too (both ends
+share a table, so the wrap has no transition); there both integrators must
+conserve, keep a constant density constant and keep a flat-bottom rest
+state at rest (to the round-off of the implicit solve).
 
 The same basins with a wall, a discharge or an elevation at either end must
 commute with the mirror that also swaps the ends, and gain the prescribed
@@ -44,12 +47,13 @@ def basins(draw):
     return [(-bound, ends), (bound, middle), (np.inf, ends)], amp, width
 
 
-def _problem(regions, amp, width):
+def _problem(regions, amp, width, bounds=None):
     mesh = m.build_mesh(-1.0, 1.0, M,
                         bathymetry=lambda x: amp * np.exp(-(x / width) ** 2))
     layout = m.build_layout(mesh, regions)
     assert not layout.uniform
-    grid = m.Grid(mesh=mesh, layout=layout, params=m.PhysParams(nu=1e-4))
+    grid = m.Grid(mesh=mesh, layout=layout, params=m.PhysParams(nu=1e-4),
+                  bounds=bounds or m.closed())
     state = m.rest_state(mesh, layout, eta0=1.0)
     k = np.arange(layout.n_max)[:, None]
     state.eta = state.eta + 0.01 * np.sin(np.pi * (mesh.x_center + 0.3))
@@ -166,3 +170,41 @@ def test_open_ends_keep_a_constant_density(left, right, basin):
     for cls, dt in STEPPERS:
         rho = _run(cls, dt, grid, start).rho
         assert np.max(np.abs(np.where(layout.active_int(), rho - 0.02, 0.0))) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# periodic basins
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(basins())
+def test_periodic_layout_invariants(basin):
+    grid, start = _problem(*basin, bounds=m.periodic())
+    mesh, layout = grid.mesh, grid.layout
+    assert not (layout.transition_cell[0] or layout.transition_cell[-1])
+    start.u[:, -1] = start.u[:, 0]  # interface M is interface 0
+    vol0 = m.total_volume(start, mesh)
+    mass0 = m.total_density_mass(start, mesh, layout)
+    const = start.copy()
+    const.u = np.where(layout.active_half(), 0.02 * np.sin(np.pi * mesh.x_iface), 0.0)
+    const.u[:, -1] = const.u[:, 0]
+    const.rho = np.where(layout.active_int(), 0.02, 0.0)
+    flat = replace(grid, mesh=m.build_mesh(-1.0, 1.0, M))
+    rest = m.rest_state(flat.mesh, layout, eta0=1.0)
+    rest.rho = const.rho
+    for cls, dt in STEPPERS:
+        end = _run(cls, dt, grid, start)
+        assert abs(m.total_volume(end, mesh) - vol0) <= 1e-13 * vol0
+        assert abs(m.total_density_mass(end, mesh, layout) - mass0) <= 1e-13 * mass0
+
+        rho = _run(cls, dt, grid, const).rho
+        assert np.max(np.abs(np.where(layout.active_int(), rho - 0.02, 0.0))) <= 1e-12
+
+        still = _run(cls, dt, flat, rest)  # the implicit solve leaves round-off
+        assert np.max(np.abs(still.eta - 1.0)) <= 1e-13
+        assert np.max(np.abs(still.u)) <= 1e-13
+        assert np.max(np.abs(still.rho - rest.rho)) <= 1e-13
+
+    tend = m.compute_tendencies(rest, flat, 0.0)
+    for d in (tend.d_eta, tend.d_u_stiff, tend.d_u_nonstiff, tend.d_r):
+        assert np.all(d == 0.0)

@@ -1,13 +1,17 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from mlswe import (Boundaries, Discharge, Elevation, PhysParams, State, Wall,
                    build_layout, build_mesh, closed, compute_tendencies,
                    periodic, rest_state, uniform_layout)
+from mlswe import spatial
 from mlswe.spatial import (Grid, baroclinic_gradient, boundary_values,
                            density_interface_value, mass_transfer, minmod,
                            momentum_advection, prepare_fields,
                            upwind_interface, viscous_coefficients)
+from test_step_reference import reference_runs
 
 
 def make_grid(M=16, n_layers=3, x_max=1.0, bathymetry=0.0, bounds=None,
@@ -414,3 +418,106 @@ def test_tidal_case_rejects_a_short_boundary_density_profile():
 def test_grid_rejects_periodic_layouts_that_differ_at_the_wrap(layers, message):
     with pytest.raises(ValueError, match=message):
         make_grid(layers=layers, bounds=periodic())
+
+
+# ---------------------------------------------------------------------------
+# the operators' contract on the step-reference grids
+
+
+def _contract_grids():
+    """name -> (grid, state, t, limiter), one per distinct grid: uniform,
+    both transition orientations, periodic and open ends."""
+    runs = reference_runs()
+    return {name: (grid, state, t, limiter)
+            for name, (_, limiter, grid, state, t, _, _) in runs.items()
+            if not name.endswith("_rk3")}
+
+
+def _arrays(result) -> list:
+    """The arrays of an operator's result, in order."""
+    if isinstance(result, np.ndarray):
+        return [result]
+    if isinstance(result, tuple):
+        return list(result)
+    return [getattr(result, f.name) for f in fields(result)]
+
+
+@pytest.mark.parametrize("name", sorted(_contract_grids()))
+def test_operators_keep_their_contract(name):
+    """Every public operator returns exact zeros off the live layers (the
+    momentum tendencies off the evolved velocities), writes into none of its
+    inputs and returns the same result when called again."""
+    grid, state, t, limiter = _contract_grids()[name]
+    layout = grid.layout
+    half, cell, evolved = layout.active_half(), layout.active_int(), grid.evolved_u
+    inner = np.vstack([np.zeros((1, grid.mesh.M), dtype=bool), grid.inner_interfaces])
+    fs = prepare_fields(state, grid, t)
+    G = spatial.mass_transfer(fs.u, fs.flux, fs.h_half, grid)
+    coeffs = viscous_coefficients(grid, fs.h_half, fs.u)
+    rho_g = boundary_values(state, grid, t)[2]
+    carrier = 0.3 * fs.u
+    inputs = [state.eta, state.u, state.rho, G, rho_g, carrier, *_arrays(fs)]
+    before = [a.copy() for a in inputs]
+    for a in inputs:  # a write into an input raises, even of the same values
+        a.setflags(write=False)
+
+    # operator -> (call, the live mask of each returned array or None)
+    calls = {
+        "prepare_fields": (
+            lambda: prepare_fields(state, grid, t),
+            [half if f.name in ("u", "rho_L", "rho_R", "rho_half", "flux") else None
+             for f in fields(fs)]),
+        "boundary_velocities": (
+            lambda: spatial.boundary_velocities(state, grid, t), [half]),
+        "interface_cell_scalars": (
+            lambda: spatial.interface_cell_scalars(rho_g, grid), [half, half]),
+        "layer_flux": (lambda: spatial.layer_flux(fs.u, fs.h_half, grid, t), [half]),
+        "mass_transfer": (
+            lambda: spatial.mass_transfer(fs.u, fs.flux, fs.h_half, grid), [inner]),
+        "density_rhs_flux": (
+            lambda: spatial.density_rhs_flux(fs.rho_half, fs.u, fs.flux, fs.h_half, grid),
+            [cell]),
+        "density_rhs_flux carried": (
+            lambda: spatial.density_rhs_flux(
+                upwind_interface(fs.rho_L, fs.rho_R, carrier), carrier, 0.3 * fs.flux,
+                fs.h_half, grid),
+            [cell]),
+        "vertical_density_term": (
+            lambda: spatial.vertical_density_term(state.rho, G, grid), [cell]),
+        "momentum_advection": (lambda: momentum_advection(fs, grid, limiter), [half]),
+        "baroclinic_gradient": (lambda: baroclinic_gradient(fs, grid), [half]),
+        "momentum_transfer_term": (
+            lambda: spatial.momentum_transfer_term(fs, G, grid), [half]),
+        "barotropic_gradient": (lambda: spatial.barotropic_gradient(fs, grid), [half]),
+        "viscous_exchange": (
+            lambda: spatial.viscous_exchange(fs.u, fs.h_half, coeffs, grid), [half]),
+        "momentum_stiff": (lambda: spatial.momentum_stiff(fs, coeffs, grid), [evolved]),
+        "momentum_nonstiff": (
+            lambda: spatial.momentum_nonstiff(fs, G, grid, limiter), [evolved]),
+        "density_tendency": (
+            lambda: spatial.density_tendency(fs, G, state.rho, grid), [cell]),
+        "compute_tendencies": (
+            lambda: compute_tendencies(state, grid, t, limiter=limiter),
+            [None, evolved, evolved, cell]),
+    }
+    for op, (call, masks) in calls.items():
+        first, second = _arrays(call()), _arrays(call())
+        assert len(first) == len(masks), op
+        for a, b, live in zip(first, second, masks):
+            assert np.array_equal(a, b), op
+            if live is not None:
+                assert np.all(a[~live] == 0.0), op
+        for a, b in zip(inputs, before):
+            assert np.array_equal(a, b), f"{op} changed an input"
+
+
+def test_grid_static_data_is_read_only():
+    grid = reference_runs()["tidal_nvar4"][2]
+    cols = grid.advection_columns
+    static = [grid.b_g, grid.db, grid.grad_factor, grid.mid_depth, grid.l_dx_half,
+              grid.inner_interfaces, grid.evolved_u,
+              *(getattr(cols, f) for f in cols._fields if f != "remap")]
+    for a in static:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0

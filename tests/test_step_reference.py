@@ -19,13 +19,14 @@ import pytest
 import scipy.linalg
 
 import mlswe as m
-from mlswe import integrators, spatial
+from mlswe import harness, integrators, spatial
 from mlswe.spatial import (baroclinic_gradient, barotropic_gradient,
                            density_rhs_flux, density_tendency, free_surface_rhs,
                            mass_transfer, momentum_advection, momentum_nonstiff,
                            momentum_stiff, momentum_transfer_term,
-                           prepare_fields, vertical_density_term,
-                           viscous_coefficients, viscous_exchange)
+                           prepare_fields, upwind_interface,
+                           vertical_density_term, viscous_coefficients,
+                           viscous_exchange)
 
 REFERENCE = Path(__file__).resolve().parent / "data" / "step_reference.npz"
 REL_TOL = 1e-13
@@ -141,8 +142,10 @@ def _rhs_term_by_term(state, grid, t, limiter):
         fs.u, fs.h_half, coeffs, grid)
     nonstiff = (-momentum_advection(fs, grid, limiter)
                 + momentum_transfer_term(fs, G, grid) + baroclinic_gradient(fs, grid))
-    d_r = density_rhs_flux(fs, fs.u, fs.flux, fs.h_half, grid) + vertical_density_term(
-        state.rho, G, grid)
+    rho_up = np.where(grid.layout.active_half(),
+                      upwind_interface(fs.rho_L, fs.rho_R, fs.u), 0.0)
+    d_r = (density_rhs_flux(rho_up, fs.u, fs.flux, fs.h_half, grid)
+           + vertical_density_term(state.rho, G, grid))
     return (free_surface_rhs(fs, grid), np.where(mask, stiff, 0.0),
             np.where(mask, nonstiff, 0.0),
             np.where(grid.layout.active_int(), d_r, 0.0))
@@ -166,8 +169,9 @@ def test_compute_tendencies_is_the_sum_of_its_pieces(name):
 
 
 WORK = ("viscous_coefficients", "prepare_fields", "boundary_values",
-        "interface_cell_scalars", "mass_transfer", "density_rhs_flux",
-        "vertical_density_term", "compute_tendencies", "_thomas", "solve_banded")
+        "interface_cell_scalars", "upwind_interface", "mass_transfer",
+        "density_rhs_flux", "vertical_density_term", "compute_tendencies",
+        "_thomas", "solve_banded")
 
 
 def _two_steps_counted(name, monkeypatch):
@@ -204,24 +208,49 @@ def test_imex_step_work(name, solves, monkeypatch):
     two in each later stage (at the stage's height for its momentum, at the
     frozen height for its density), five horizontal density fluxes (one per
     stage, one carried into each of stages 2 and 3) and one vertical density
-    term per stage."""
+    term per stage. Upwinding: two per field preparation (height and
+    density) and one for each carried flux; a stage's own flux reuses the
+    density its field preparation upwinded."""
     calls, integ = _two_steps_counted(name, monkeypatch)
     banded = 3 if integ.grid.bounds.periodic else 2
     assert calls == {"viscous_coefficients": 2, "prepare_fields": 6,
                      "boundary_values": 6, "interface_cell_scalars": 6,
-                     "mass_transfer": 10, "density_rhs_flux": 10,
-                     "vertical_density_term": 6, "compute_tendencies": 0,
-                     "_thomas": 2 * solves, "solve_banded": 2 * banded}
+                     "upwind_interface": 16, "mass_transfer": 10,
+                     "density_rhs_flux": 10, "vertical_density_term": 6,
+                     "compute_tendencies": 0, "_thomas": 2 * solves,
+                     "solve_banded": 2 * banded}
     assert (integ.n_rhs, integ.n_implicit) == (6, 4)
 
 
 @pytest.mark.parametrize("name", ["basin_242_rk3", "lock_exchange_rk3"])
 def test_rk3_step_work(name, monkeypatch):
     """Per step: one full right-hand side per stage, each with its one field
-    preparation, and no implicit solve."""
+    preparation (which upwinds height and density once each), and no
+    implicit solve."""
     calls, integ = _two_steps_counted(name, monkeypatch)
-    assert calls == {**dict.fromkeys(WORK, 6), "_thomas": 0, "solve_banded": 0}
+    assert calls == {**dict.fromkeys(WORK, 6), "upwind_interface": 12,
+                     "_thomas": 0, "solve_banded": 0}
     assert integ.n_rhs == 6
+
+
+def test_run_case_evaluates_courant_once_per_state(monkeypatch):
+    """An adaptive run evaluates the Courant numbers once per state: the
+    start's give the first dt, and each new state's give both its reported
+    maxima and the next dt."""
+    calls = []
+    original = integrators.courant_numbers
+
+    def counted(*args, **kwargs):
+        calls.append(args[-1])
+        return original(*args, **kwargs)
+    for module in (integrators, harness):
+        monkeypatch.setattr(module, "courant_numbers", counted)
+    spec = m.case_lock_exchange(M=40, integrator="rk3", dt=None, target_ccel=0.9,
+                                t_final=4.0, output_interval=1.0)
+    report = m.run_case(spec).report
+    assert report.verdict == "completed" and report.steps > 10
+    assert len(calls) == report.steps + 1
+    assert 0.9 <= report.max_ccel <= 0.9 * 1.01
 
 
 if __name__ == "__main__":
