@@ -13,7 +13,8 @@ from .harness import (RunReport, RunResult, error_norms, front_positions,
                       front_speed, project_state, run_case)
 from .integrators import (ButcherPair, IMEXIntegrator, RK3Integrator,
                           StepFailure, adaptive_dt, ark2_tableau,
-                          courant_numbers, imex_ark2_step, rk3_step)
+                          courant_dt, courant_numbers, imex_ark2_step,
+                          rk3_step)
 from .layers import LayerLayout, LayoutError, build_layout, uniform_layout
 from .linear import (AssembledA, LinearModel, assemble_A,
                      characteristic_residual, hyperbolicity_check, spectrum)
@@ -29,7 +30,8 @@ __all__ = [
     "RunReport", "RunResult", "error_norms", "front_positions", "front_speed",
     "project_state", "run_case", "ButcherPair",
     "IMEXIntegrator", "RK3Integrator", "StepFailure", "adaptive_dt",
-    "ark2_tableau", "courant_numbers", "imex_ark2_step", "rk3_step",
+    "ark2_tableau", "courant_dt", "courant_numbers", "imex_ark2_step",
+    "rk3_step",
     "LayerLayout", "LayoutError", "build_layout", "uniform_layout",
     "AssembledA", "LinearModel", "assemble_A", "characteristic_residual",
     "hyperbolicity_check", "spectrum", "Mesh1D", "build_mesh", "Grid",

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cases import CaseSpec, build_problem
-from .integrators import (IMEXIntegrator, RK3Integrator, courant_numbers,
-                          StepFailure)
+from .integrators import (IMEXIntegrator, RK3Integrator, StepFailure,
+                          courant_dt, courant_numbers)
 from .layers import LayerLayout, refine_parent
 from .spatial import Grid
 from .state import DryStateError, State, total_density_mass, total_volume
@@ -76,15 +76,14 @@ def run_case(spec: CaseSpec, grid: Grid | None = None,
     t_start = time.perf_counter()
     eps = 1e-9 * max(spec.t_final, 1.0)
     # Courant numbers per unit dt, one evaluation per state: the next dt
-    # under adaptive stepping (as `adaptive_dt`) and, times the step taken,
-    # the reported maxima
+    # under adaptive stepping and, times the step taken, the reported maxima
     courant = None if spec.dt is not None else courant_numbers(state, grid, 1.0)
 
     while t < spec.t_final - eps:
         if spec.dt is not None:
             dt = spec.dt
         else:
-            dt = spec.target_ccel / courant[0] if courant[0] > 0.0 else np.inf
+            dt = courant_dt(courant[0], spec.target_ccel)
         dt = min(dt, spec.t_final - t, next_out - t)
         try:
             new_state = integ.step(state, t, dt)

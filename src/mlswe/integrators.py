@@ -104,15 +104,20 @@ def courant_numbers(state: State, grid: Grid, dt: float):
     return float(c_cel), float(c_vel)
 
 
+def courant_dt(c: float, target: float, dt_max: float = np.inf) -> float:
+    """Largest dt at which a Courant number of c per unit dt equals the
+    target, capped at dt_max."""
+    if c <= 0.0:
+        return float(dt_max)
+    return float(min(target / c, dt_max))
+
+
 def adaptive_dt(state: State, grid: Grid, target: float, *,
                 kind: str = "cel", dt_max: float = np.inf) -> float:
     """Largest dt whose Courant number (of the requested kind) equals the
     target on the current state, capped at dt_max."""
     c_cel, c_vel = courant_numbers(state, grid, 1.0)
-    c = c_cel if kind == "cel" else c_vel
-    if c <= 0.0:
-        return float(dt_max)
-    return float(min(target / c, dt_max))
+    return courant_dt(c_cel if kind == "cel" else c_vel, target, dt_max)
 
 
 def _check_state(state: State, grid: Grid) -> State:

@@ -82,6 +82,8 @@ def test_adaptive_dt_inverts_courant_and_caps():
     c_cel, _ = m.courant_numbers(state, grid, dt)
     assert c_cel == pytest.approx(0.5, rel=1e-12)
     assert m.adaptive_dt(state, grid, 0.5, dt_max=1e-5) == 1e-5
+    assert m.courant_dt(4.0, 0.5) == 0.125
+    assert m.courant_dt(0.0, 0.5) == np.inf
     dt_v = m.adaptive_dt(state, grid, 0.5, kind="vel")
     _, c_vel = m.courant_numbers(state, grid, dt_v)
     assert c_vel == pytest.approx(0.5, rel=1e-12)
