@@ -6,13 +6,15 @@ rho*l*h). IMEX-ARK2 (Giraldo, Kelly & Constantinescu, SIAM J. Sci. Comput.
 35, 2013) treats the barotropic pressure gradient, the mass flux and the
 vertical viscous exchange implicitly, the rest explicitly. Its implicit
 operator is frozen at time level n and both implicit stages share one
-diagonal, so the stage matrix is built once per step: the vertical
-tridiagonal of every column, the free-surface tridiagonal along the domain
-and, if periodic, its Sherman-Morrison correction. Level n is evaluated
-once; each later stage solves from the explicit values of its tableau rows
-and evaluates only what a later stage or the assembly reads (stage 2's
-stiff tendency comes out of its solve; stage 3's is never needed, because
-b equals the last implicit row).
+diagonal, so the stage matrix is built and factored once per step: the
+vertical tridiagonal of every column, and the free-surface tridiagonal
+along the domain (with, if periodic, its Sherman-Morrison correction),
+which mlswe's own `tridiag` kernel eliminates. Each solve after that is
+forward and back substitution only. Level n is evaluated once; each later
+stage solves from the explicit values of its tableau rows and evaluates
+only what a later stage or the assembly reads (stage 2's stiff tendency
+comes out of its solve; stage 3's is never needed, because b equals the
+last implicit row).
 
 Density stages use a linearized update: each stage upwinds the previous
 stage's density with the tableau-weighted carrier velocity and carries it
@@ -31,8 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
+from . import tridiag as sla  # bench/spans.py traces the solve as sla.solve_banded
 from .spatial import (Grid, ViscousCoeffs, boundary_velocities,
                       compute_tendencies, density_rhs_flux, free_surface_rhs,
                       ghost_elevation, layer_flux, mass_transfer,
@@ -98,7 +100,7 @@ def courant_numbers(state: State, grid: Grid, dt: float):
     h = np.maximum(state.eta - mesh.b, 0.0)
     u_c = 0.5 * (state.u[:, :-1] + state.u[:, 1:])
     ubar = np.abs(np.sum(layout.l_int * u_c, axis=0))
-    rhobar = np.sum(np.where(layout.active_int(), layout.l_int * state.rho, 0.0), axis=0)
+    rhobar = np.sum(layout.l_int * state.rho, axis=0)
     c_cel = np.max((ubar + np.sqrt(np.maximum(1.0 + rhobar, 0.0) * g * h)) * dt / mesh.dx)
     c_vel = np.max((ubar + np.sqrt(np.maximum(rhobar, 0.0) * g * h)) * dt / mesh.dx)
     return float(c_cel), float(c_vel)
@@ -129,10 +131,9 @@ def _check_state(state: State, grid: Grid) -> State:
 
 
 def _density(content, eta, grid: Grid) -> np.ndarray:
-    """Density of the live cell layers from their content rho*l*h."""
-    layout = grid.layout
-    h = layout.l_int_safe * (eta - grid.mesh.b)
-    return np.where(layout.active_int(), content / h, 0.0)
+    """Density of the live cell layers from their content rho*l*h (zero
+    above the live layers, like the content)."""
+    return content / (grid.layout.l_int_safe * (eta - grid.mesh.b))
 
 
 def _combine(pairs):
@@ -191,22 +192,29 @@ def rk3_step(state: State, grid: Grid, t: float, dt: float,
 # implicit stage machinery
 
 
-def _thomas(sub, diag, sup, rhs):
-    """Vectorized tridiagonal solve along axis 0 (no pivoting; the systems
-    are strictly diagonally dominant by construction)."""
-    n = diag.shape[0]
+def _thomas_factor(sub, diag, sup):
+    """(sub, c, piv): the elimination of the tridiagonals along axis 0, no
+    pivoting (the systems are strictly diagonally dominant by construction)."""
     c = np.empty_like(diag)
-    d = np.empty_like(rhs)
+    piv = np.empty_like(diag)
+    piv[0] = diag[0]
     c[0] = sup[0] / diag[0]
-    d[0] = rhs[0] / diag[0]
-    for k in range(1, n):
-        m = diag[k] - sub[k] * c[k - 1]
-        c[k] = sup[k] / m
-        d[k] = (rhs[k] - sub[k] * d[k - 1]) / m
+    for k in range(1, diag.shape[0]):
+        piv[k] = diag[k] - sub[k] * c[k - 1]
+        c[k] = sup[k] / piv[k]
+    return sub, c, piv
+
+
+def _thomas(factors, rhs):
+    """Vectorized tridiagonal solve along axis 0 with the `_thomas_factor`
+    elimination: forward and back substitution only."""
+    sub, c, piv = factors
     x = np.empty_like(rhs)
-    x[-1] = d[-1]
-    for k in range(n - 2, -1, -1):
-        x[k] = d[k] - c[k] * x[k + 1]
+    x[0] = rhs[0] / piv[0]
+    for k in range(1, piv.shape[0]):
+        x[k] = (rhs[k] - sub[k] * x[k - 1]) / piv[k]
+    for k in range(piv.shape[0] - 2, -1, -1):
+        x[k] -= c[k] * x[k + 1]
     return x
 
 
@@ -222,13 +230,16 @@ class ImplicitWorkspace:
     sub: np.ndarray | float     # vertical tridiagonal of (I - gamma_dt * A),
     diag: np.ndarray | float    # the scalars 0, 1, 0 if it is the identity
     sup: np.ndarray | float     # (trivial coefficients)
+    vertical: tuple | None      # its `_thomas_factor` elimination, None if
+                                # it is the identity
     k_const: np.ndarray | float  # (n_max, M+1) constant forcing (wind), or 0
     w_hat: np.ndarray           # (n_max, M+1) velocity response to grad eta
     W: np.ndarray               # (M+1,) its column flux h * sum(l * w_hat),
                                 # 0 at discharge ends, W[M] = W[0] if periodic
     fac: np.ndarray             # (M,) gamma_dt / dx
-    ab: np.ndarray              # (3, M) banded free-surface matrix, with the
-                                # Sherman-Morrison corner modification if periodic
+    factors: sla.Factors        # the banded free-surface matrix, with the
+                                # Sherman-Morrison corner modification if
+                                # periodic, factored
     z: np.ndarray | None        # periodic: the modified matrix's response to
                                 # the corner column gamma e_0 + beta e_{M-1}
     r: float                    # periodic: the corner row v = e_0 + r e_{M-1}
@@ -237,10 +248,11 @@ class ImplicitWorkspace:
 
 def _vertical_matrix(grid: Grid, h_half, coeffs: ViscousCoeffs, gamma_dt: float):
     """(sub, diag, sup, k_const): the vertical tridiagonal of
-    (I - gamma_dt * A) in every column and the constant forcing k."""
+    (I - gamma_dt * A) in every column and the constant forcing k. The
+    exchange coefficients are zero above the live interfaces, so off the
+    live layers the rows are the identity's and k is zero without a mask."""
     layout = grid.layout
     n_max, Mp1 = layout.n_max, h_half.size
-    act = layout.active_half()
     inv_lh = 1.0 / (layout.l_half_safe * h_half)
 
     a = coeffs.a  # (n_max+1, Mp1)
@@ -251,23 +263,16 @@ def _vertical_matrix(grid: Grid, h_half, coeffs: ViscousCoeffs, gamma_dt: float)
     cols = np.arange(Mp1)
     top = np.maximum(layout.n_half - 1, 0)
     upper_c[top, cols] = coeffs.c_wind
-    upper_c = np.where(act, upper_c, 0.0)
-    lower_c = np.where(act, lower_c, 0.0)
 
     diag_a = -(upper_c + lower_c) * inv_lh
     sup_a = np.zeros((n_max, Mp1))
     sub_a = np.zeros((n_max, Mp1))
     sup_a[:-1, :] = a[1:n_max, :] * inv_lh[:-1, :]
     sub_a[1:, :] = a[1:n_max, :] * inv_lh[1:, :]
-    sup_a = np.where(act, sup_a, 0.0)
-    sub_a = np.where(act, sub_a, 0.0)
 
     k_const = np.zeros((n_max, Mp1))
     k_const[top, cols] = coeffs.c_wind * coeffs.u_wind * inv_lh[top, cols]
-    k_const = np.where(act, k_const, 0.0)
-
-    diag = np.where(act, 1.0 - gamma_dt * diag_a, 1.0)
-    return -gamma_dt * sub_a, diag, -gamma_dt * sup_a, k_const
+    return -gamma_dt * sub_a, 1.0 - gamma_dt * diag_a, -gamma_dt * sup_a, k_const
 
 
 def build_implicit_workspace(grid: Grid, h_half, coeffs: ViscousCoeffs,
@@ -277,10 +282,11 @@ def build_implicit_workspace(grid: Grid, h_half, coeffs: ViscousCoeffs,
     # trivial coefficients the matrix is exactly the identity
     ones = np.where(layout.active_half(), gamma_dt * grid.params.g / mesh.dx_half, 0.0)
     if coeffs.trivial:
-        (sub, diag, sup, k_const), w_hat = (0.0, 1.0, 0.0, 0.0), ones
+        (sub, diag, sup, k_const), vertical, w_hat = (0.0, 1.0, 0.0, 0.0), None, ones
     else:
         sub, diag, sup, k_const = _vertical_matrix(grid, h_half, coeffs, gamma_dt)
-        w_hat = _thomas(sub, diag, sup, ones)
+        vertical = _thomas_factor(sub, diag, sup)
+        w_hat = _thomas(vertical, ones)
 
     # free surface: column flux K + W * (jump of eta) at each interface; an
     # end of prescribed discharge fixes it to its flux, free of eta
@@ -304,15 +310,17 @@ def build_implicit_workspace(grid: Grid, h_half, coeffs: ViscousCoeffs,
         alpha, beta, gamma = lower[0], upper[-1], -ab[1, 0]
         ab[1, 0] -= gamma
         ab[1, -1] -= alpha * beta / gamma
+    factors = sla.factor(ab)
+    if periodic:
         corner = np.zeros(M)
         corner[0], corner[-1] = gamma, beta
-        z = sla.solve_banded((1, 1), ab, corner)
+        z = sla.solve_banded(factors, corner)
         r = alpha / gamma
         v_z = z[0] + r * z[-1]
     return ImplicitWorkspace(
         h_half=h_half, coeffs=coeffs, gamma_dt=gamma_dt,
-        sub=sub, diag=diag, sup=sup, k_const=k_const, w_hat=w_hat,
-        W=W, fac=fac, ab=ab, z=z, r=r, v_z=v_z)
+        sub=sub, diag=diag, sup=sup, vertical=vertical, k_const=k_const,
+        w_hat=w_hat, W=W, fac=fac, factors=factors, z=z, r=r, v_z=v_z)
 
 
 def implicit_stage_solve(grid: Grid, ws: ImplicitWorkspace,
@@ -333,7 +341,7 @@ def implicit_stage_solve(grid: Grid, ws: ImplicitWorkspace,
     # the padded layers stay decoupled in the solve and carry no flux; the
     # returned velocities are masked below
     rhs_u = u_expl + ws.gamma_dt * ws.k_const
-    u_hat = rhs_u if ws.coeffs.trivial else _thomas(ws.sub, ws.diag, ws.sup, rhs_u)
+    u_hat = rhs_u if ws.vertical is None else _thomas(ws.vertical, rhs_u)
 
     # the stage's column flux, prescribed at the discharge ends
     K = np.sum(layer_flux(u_hat, ws.h_half, grid, t_stage), axis=0)
@@ -345,7 +353,7 @@ def implicit_stage_solve(grid: Grid, ws: ImplicitWorkspace,
         eta_g = ghost_elevation(eta_expl, grid, t_stage)
         rhs[0] += fac[0] * W[0] * eta_g[0]
         rhs[-1] += fac[-1] * W[M] * eta_g[-1]
-    eta = sla.solve_banded((1, 1), ws.ab, rhs)
+    eta = sla.solve_banded(ws.factors, rhs)
     if periodic:
         eta = eta - ws.z * ((eta[0] + ws.r * eta[-1]) / (1.0 + ws.v_z))
 
@@ -438,7 +446,7 @@ class IMEXIntegrator:
             rho = _density(lh_rho_n + dt * (carried + rest), eta, grid)
 
             self.n_rhs += 1
-            fs = prepare_fields(State(eta, u, rho), grid, t_s)
+            fs = prepare_fields(State(eta, u, rho), grid, t_s, u_f)
             G = mass_transfer(fs.u, fs.flux, fs.h_half, grid)
             N.append(momentum_nonstiff(fs, G, grid, self.limiter))
             G = mass_transfer(u_f, F, h_half, grid)  # at the frozen height

@@ -113,6 +113,19 @@ class Grid:
         return _read_only(np.cumsum(l, axis=0) - l + 0.5 * l)
 
     @cached_property
+    def sum_below(self) -> np.ndarray:
+        """Read-only (n_max, n_max) lower-triangular ones: row k of
+        `sum_below @ a` sums rows 0..k of a (a matrix product costs less
+        than np.cumsum along the layers)."""
+        return _read_only(np.tri(self.layout.n_max))
+
+    @cached_property
+    def sum_above(self) -> np.ndarray:
+        """Read-only (n_max, n_max) strictly upper-triangular ones: row k of
+        `sum_above @ a` sums the rows of a above k."""
+        return _read_only(1.0 - np.tri(self.layout.n_max))
+
+    @cached_property
     def l_dx_half(self) -> np.ndarray:
         """Read-only (n_max, M+1) divisor-safe l_half times dx_half."""
         return _read_only(self.layout.l_half_safe * self.mesh.dx_half)
@@ -213,19 +226,22 @@ def ghost_elevation(eta, grid: Grid, t: float) -> np.ndarray:
     return eta_g
 
 
-def boundary_values(state: State, grid: Grid, t: float):
+def boundary_values(state: State, grid: Grid, t: float, u_full=None):
     """Fill boundary velocity columns and build ghost-cell arrays.
 
     Returns (u_full, eta_g, rho_g, b_g) where ghost arrays have length M+2
-    (index 0 = left ghost, M+1 = right ghost).
+    (index 0 = left ghost, M+1 = right ghost). A caller that has already
+    filled the boundary columns of state.u (`boundary_velocities`) passes
+    the result as u_full, which is returned as is.
     """
     rho_g = np.zeros((grid.layout.n_max, grid.mesh.M + 2))
     rho_g[:, 1:-1] = state.rho
     for end in grid.ends:
         rho = end.cond.ghost_rho(t, state.rho[:, end.cell])
         rho_g[:len(rho), end.ghost] = rho
-    return (boundary_velocities(state, grid, t), ghost_elevation(state.eta, grid, t),
-            rho_g, grid.b_g)
+    if u_full is None:
+        u_full = boundary_velocities(state, grid, t)
+    return u_full, ghost_elevation(state.eta, grid, t), rho_g, grid.b_g
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +292,11 @@ class FieldSet:
     F: np.ndarray         # (M+1,) column mass flux
 
 
-def prepare_fields(state: State, grid: Grid, t: float) -> FieldSet:
-    """Assemble the upwind interface quantities for one RHS evaluation."""
+def prepare_fields(state: State, grid: Grid, t: float, u_full=None) -> FieldSet:
+    """Assemble the upwind interface quantities for one RHS evaluation
+    (u_full as for `boundary_values`)."""
     layout = grid.layout
-    u_full, eta_g, rho_g, b_g = boundary_values(state, grid, t)
+    u_full, eta_g, rho_g, b_g = boundary_values(state, grid, t, u_full)
 
     h_g = eta_g - b_g
     if np.any(h_g[1:-1] <= grid.h_min):
@@ -352,20 +369,21 @@ def mass_transfer(u, flux, h_half, grid: Grid) -> np.ndarray:
     G = np.zeros((grid.layout.n_max + 1, grid.mesh.M))
     # the surface entry and those above it are zero, not the round-off of
     # the telescoped sum
-    np.multiply(np.cumsum(term, axis=0), grid.inner_interfaces, out=G[1:])
+    np.multiply(grid.sum_below @ term, grid.inner_interfaces, out=G[1:])
     return G
 
 
-def density_interface_value(rho, G_inner, active_vert) -> np.ndarray:
+def density_interface_value(rho, G_inner) -> np.ndarray:
     """Upwind density at the layer interfaces inside each column.
 
     rho is (n_max, M); G_inner is G[1:n_max] (the interior interfaces).
-    Implements the average-minus-signed-jump form with sgn(0) = 0.
+    Implements the average-minus-signed-jump form with sgn(0) = 0. Above
+    the live interfaces the value is unmasked: it only ever multiplies G,
+    which is zero there.
     """
     avg = 0.5 * (rho[:-1, :] + rho[1:, :])
     jump = rho[1:, :] - rho[:-1, :]
-    val = avg + 0.5 * np.sign(G_inner) * jump
-    return np.where(active_vert, val, 0.0)
+    return avg + 0.5 * np.sign(G_inner) * jump
 
 
 def density_rhs_flux(rho_up, carrier_u, flux, h_half, grid: Grid) -> np.ndarray:
@@ -384,8 +402,7 @@ def density_rhs_flux(rho_up, carrier_u, flux, h_half, grid: Grid) -> np.ndarray:
 def vertical_density_term(rho_stage, G, grid: Grid) -> np.ndarray:
     """Vertical exchange term of the density equation, divided by dx."""
     n_max = grid.layout.n_max
-    rho_v = density_interface_value(rho_stage, G[1:n_max, :],
-                                    grid.inner_interfaces[:-1])
+    rho_v = density_interface_value(rho_stage, G[1:n_max, :])
     rg = np.zeros_like(G)
     rg[1:n_max, :] = rho_v * G[1:n_max, :]
     return (rg[1:, :] - rg[:-1, :]) / grid.mesh.dx
@@ -444,9 +461,8 @@ def baroclinic_gradient(fs: FieldSet, grid: Grid) -> np.ndarray:
     add to du/dt)."""
     hL, hR = fs.h_g[:-1], fs.h_g[1:]
     drh = grid.layout.l_half * (fs.rho_R * hR - fs.rho_L * hL)
-    # sum over beta > alpha (exclusive reverse cumulative sum)
-    tail = np.flip(np.cumsum(np.flip(drh, axis=0), axis=0), axis=0) - drh
-    return grid.grad_factor * (tail + 0.5 * drh + fs.rho_half * (
+    # sum over beta > alpha
+    return grid.grad_factor * (grid.sum_above @ drh + 0.5 * drh + fs.rho_half * (
         grid.db + (hR - hL) * grid.mid_depth))
 
 
@@ -536,8 +552,6 @@ def viscous_exchange(u, h_half, coeffs: ViscousCoeffs, grid: Grid):
     """Explicit evaluation of the vertical viscosity/friction term (stiff)."""
     layout = grid.layout
     n_max = layout.n_max
-    if coeffs.trivial:
-        return np.zeros_like(u)
     K = np.zeros((n_max + 1, u.shape[1]))
     K[1:n_max, :] = coeffs.a[1:n_max, :] * (u[1:, :] - u[:-1, :])
     K[0, :] = coeffs.c_bot * u[0, :]
@@ -571,8 +585,9 @@ def barotropic_gradient(fs: FieldSet, grid: Grid) -> np.ndarray:
 def momentum_stiff(fs: FieldSet, coeffs: ViscousCoeffs, grid: Grid) -> np.ndarray:
     """Stiff momentum tendency: barotropic pressure gradient plus vertical
     viscosity and friction, zero off the prognostic velocities."""
-    d_u = barotropic_gradient(fs, grid) + viscous_exchange(
-        fs.u, fs.h_half, coeffs, grid)
+    d_u = barotropic_gradient(fs, grid)
+    if not coeffs.trivial:  # trivial coefficients exchange nothing
+        d_u = d_u + viscous_exchange(fs.u, fs.h_half, coeffs, grid)
     return np.where(grid.evolved_u, d_u, 0.0)
 
 

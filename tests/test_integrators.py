@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import mlswe as m
-from mlswe.integrators import (_thomas, build_implicit_workspace,
+from mlswe.integrators import (_thomas, _thomas_factor, build_implicit_workspace,
                                implicit_residual, implicit_stage_solve)
 from mlswe.spatial import prepare_fields, viscous_coefficients
 
@@ -49,7 +49,7 @@ def test_thomas_matches_dense_solve():
     sup = rng.random((n, cols))
     diag = 4.0 + rng.random((n, cols))  # diagonally dominant
     rhs = rng.standard_normal((n, cols))
-    x = _thomas(sub, diag, sup, rhs)
+    x = _thomas(_thomas_factor(sub, diag, sup), rhs)
     for j in range(cols):
         A = (np.diag(diag[:, j]) + np.diag(sup[:-1, j], 1)
              + np.diag(sub[1:, j], -1))

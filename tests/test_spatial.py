@@ -127,10 +127,9 @@ def test_mass_transfer_sign_two_layer_exchange():
 
 def test_density_interface_upwind_direction():
     rho = np.array([[0.03], [0.0]])     # dense below, light above
-    active = np.array([[True]])
-    up = density_interface_value(rho, np.array([[-1.0]]), active)   # upward
-    down = density_interface_value(rho, np.array([[+1.0]]), active)  # downward
-    tie = density_interface_value(rho, np.array([[0.0]]), active)
+    up = density_interface_value(rho, np.array([[-1.0]]))   # upward
+    down = density_interface_value(rho, np.array([[+1.0]]))  # downward
+    tie = density_interface_value(rho, np.array([[0.0]]))
     assert up[0, 0] == 0.03    # carries the lower layer's density
     assert down[0, 0] == 0.0   # carries the upper layer's density
     assert tie[0, 0] == pytest.approx(0.015)
@@ -515,7 +514,7 @@ def test_grid_static_data_is_read_only():
     grid = reference_runs()["tidal_nvar4"][2]
     cols = grid.advection_columns
     static = [grid.b_g, grid.db, grid.grad_factor, grid.mid_depth, grid.l_dx_half,
-              grid.inner_interfaces, grid.evolved_u,
+              grid.sum_below, grid.sum_above, grid.inner_interfaces, grid.evolved_u,
               *(getattr(cols, f) for f in cols._fields if f != "remap")]
     for a in static:
         assert not a.flags.writeable

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import mlswe as m
 from mlswe import harness, integrators, spatial
@@ -188,7 +187,7 @@ def _two_steps_counted(name, monkeypatch):
         monkeypatch.setattr(module, fname, counted)
 
     for fname in calls:
-        for module in (spatial, integrators, scipy.linalg):
+        for module in (spatial, integrators, integrators.sla):
             if hasattr(module, fname):
                 count(module, fname)
     _, integ = advance(*reference_runs()[name][:-1], steps=2)

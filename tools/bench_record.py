@@ -1,6 +1,6 @@
 """Record one point of the benchmark trajectory as BENCH_<pr>.json.
 
-    python3 tools/bench_record.py --pr N
+    python3 tools/bench_record.py --pr N [--parent REF]
 
 Runs the benchmark command of BENCHMARK.json (`python3 bench/run.py`)
 unchanged for every workload it lists: REPEAT times with --trace 0 for
@@ -15,6 +15,14 @@ kernel; it rises when other work shares the machine (a virtual
 machine's load average does not show the host's), and absolute times
 recorded at a higher probe are not comparable with those at a lower
 one. Run it from any directory; it runs the checkout it belongs to.
+
+With --parent REF the record is paired: the committed files of REF are
+exported (`git archive`) into a temporary directory, and for each workload
+PAIRS untraced runs of REF's and of this checkout's `bench/run.py`
+alternate, REF first in the even-numbered pairs, then one traced run of
+each. Each workload then also holds REF's runs under "parent", in pair
+order, and the file names REF and its commit. Only paired runs compare a
+change with its parent on a shared machine.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ import platform
 import subprocess
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -33,15 +42,17 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 REPEAT = 3  # untraced runs per workload
+PAIRS = 10  # untraced runs per workload and side when paired
 
 
-def bench_run(command, workload, seconds, trace) -> dict:
-    """One `bench/run.py` run; its last stdout line is the JSON result."""
+def bench_run(root, command, workload, seconds, trace) -> dict:
+    """One `bench/run.py` run in the checkout at `root`; its last stdout
+    line is the JSON result."""
     args = [*command, "--workload", workload, "--seconds", f"{seconds:g}",
             "--trace", str(trace)]
-    proc = subprocess.run(args, cwd=ROOT, capture_output=True, text=True)
+    proc = subprocess.run(args, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise RuntimeError(f"{' '.join(args)} failed:\n{proc.stderr.strip()}")
+        raise RuntimeError(f"{' '.join(args)} in {root} failed:\n{proc.stderr.strip()}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -51,6 +62,19 @@ def _values(run) -> dict:
 
 def _counts(run) -> dict:
     return {key: run[key] for key in ("correct", "attempted", "failed")}
+
+
+def _summary(runs, traced) -> dict:
+    values = [_values(r) for r in runs]
+    return {
+        "end_to_end": {
+            "fastest": min(values, key=lambda v: v["step_ms"]),
+            "runs": values,
+            "checks": [_counts(r) for r in runs],
+        },
+        "per_layer": _values(traced),
+        "per_layer_checks": _counts(traced),
+    }
 
 
 def speed_probe() -> float:
@@ -66,39 +90,55 @@ def speed_probe() -> float:
     return statistics.median(rounds)
 
 
-def src_lines() -> int:
+def src_lines(root) -> int:
     return sum(len(p.read_text().splitlines())
-               for p in sorted((ROOT / "src" / "mlswe").glob("*.py")))
+               for p in sorted((root / "src" / "mlswe").glob("*.py")))
 
 
-def record() -> dict:
+def export(ref, dest) -> str:
+    """Write the committed files of `ref` into `dest`; return its commit."""
+    commit = subprocess.run(["git", "rev-parse", "--verify", f"{ref}^{{commit}}"],
+                            cwd=ROOT, capture_output=True, text=True, check=True)
+    archive = subprocess.run(["git", "archive", "--format=tar", ref], cwd=ROOT,
+                             capture_output=True, check=True)
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
+    return commit.stdout.strip()
+
+
+def record(parent_root=None) -> dict:
+    """The record of this checkout, paired with the one at `parent_root`
+    if given."""
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = bench["run_seconds"]
+    command, seconds = bench["command"], bench["run_seconds"]
     units = {m["name"]: m["unit"] for m in bench["end_to_end"] + bench["per_layer"]}
+    roots = {"change": ROOT} if parent_root is None else {"parent": parent_root,
+                                                          "change": ROOT}
+    repeat = REPEAT if parent_root is None else PAIRS
     workloads = {}
     for w in bench["workloads"]:
         name = w["name"]
         probe_before = speed_probe()
-        runs = [bench_run(bench["command"], name, seconds, 0) for _ in range(REPEAT)]
-        traced = bench_run(bench["command"], name, seconds, 1)
-        values = [_values(r) for r in runs]
-        workloads[name] = {
-            "end_to_end": {
-                "fastest": min(values, key=lambda v: v["step_ms"]),
-                "runs": values,
-                "checks": [_counts(r) for r in runs],
-            },
-            "per_layer": _values(traced),
-            "per_layer_checks": _counts(traced),
-            "probe_us": [probe_before, speed_probe()],
-        }
-        print(f"{name}: {workloads[name]['end_to_end']['fastest']}", file=sys.stderr)
+        runs = {side: [] for side in roots}
+        for i in range(repeat):
+            for side in (roots if i % 2 == 0 else reversed(roots)):
+                runs[side].append(bench_run(roots[side], command, name, seconds, 0))
+        traced = {side: bench_run(root, command, name, seconds, 1)
+                  for side, root in roots.items()}
+        entry = _summary(runs["change"], traced["change"])
+        entry["probe_us"] = [probe_before, speed_probe()]
+        if parent_root is not None:
+            entry["parent"] = _summary(runs["parent"], traced["parent"])
+        workloads[name] = entry
+        for side in roots:
+            med = {k: statistics.median(_values(r)[k] for r in runs[side])
+                   for k in ("setup_s", "step_ms", "peak_rss_mb")}
+            print(f"{name} {side}: median {med}", file=sys.stderr)
     return {
-        "command": bench["command"],
+        "command": command,
         "seconds": seconds,
-        "repeat": REPEAT,
+        "repeat": repeat,
         "units": units,
-        "src_mlswe_lines": src_lines(),
+        "src_mlswe_lines": src_lines(ROOT),
         "machine": {"cpus": os.cpu_count(), "machine": platform.machine(),
                     "python": platform.python_version()},
         "workloads": workloads,
@@ -108,9 +148,19 @@ def record() -> dict:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--pr", type=int, required=True, help="the N of BENCH_<N>.json")
+    p.add_argument("--parent", metavar="REF",
+                   help="pair every run with one of this git commit")
     args = p.parse_args(argv)
     out = ROOT / f"BENCH_{args.pr}.json"
-    out.write_text(json.dumps(record(), indent=1) + "\n")
+    if args.parent is None:
+        result = record()
+    else:
+        with tempfile.TemporaryDirectory(prefix="bench_parent_") as tmp:
+            commit = export(args.parent, Path(tmp))
+            result = record(Path(tmp))
+            result["parent"] = {"ref": args.parent, "commit": commit,
+                                "src_mlswe_lines": src_lines(Path(tmp))}
+    out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     return 0
 
