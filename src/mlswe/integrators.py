@@ -9,7 +9,7 @@ operator is frozen at time level n and both implicit stages share one
 diagonal, so the stage matrix is built and factored once per step: the
 vertical tridiagonal of every column, and the free-surface tridiagonal
 along the domain (with, if periodic, its Sherman-Morrison correction),
-which mlswe's own `tridiag` kernel eliminates. Each solve after that is
+both eliminated by mlswe's own `tridiag` kernels. Each solve after that is
 forward and back substitution only. Level n is evaluated once; each later
 stage solves from the explicit values of its tableau rows and evaluates
 only what a later stage or the assembly reads (stage 2's stiff tendency
@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tridiag as sla  # bench/spans.py traces the solve as sla.solve_banded
 from .spatial import (Grid, ViscousCoeffs, boundary_velocities,
                       compute_tendencies, density_rhs_flux, free_surface_rhs,
                       ghost_elevation, layer_flux, mass_transfer,
@@ -42,8 +41,22 @@ from .spatial import (Grid, ViscousCoeffs, boundary_velocities,
                       upwind_interface, vertical_density_term,
                       viscous_coefficients)
 from .state import State
+# bench/spans.py traces the free-surface solve as sla.solve_banded and the
+# column solve as _thomas
+from . import tridiag as sla
+from .tridiag import thomas as _thomas
 
 SQRT2 = np.sqrt(2.0)
+
+# glibc gives the free memory at the top of its heap back to the kernel once
+# it exceeds a trim threshold, 128 KiB at start. A step frees and allocates
+# more than that in (n_max, M+1) temporaries, so each step would fault those
+# pages back in: 100-220 minor faults and 0.2-0.4 ms of system time per step
+# on the benchmark's cases. Freeing a block that was mmapped raises the
+# threshold to twice the block's size (the dynamic M_MMAP_THRESHOLD of
+# mallopt(3)); this 2 MiB array, freed at once, keeps the step's churn in
+# the heap. Under other allocators it is one short-lived allocation.
+np.empty(1 << 18)
 
 
 class StepFailure(RuntimeError):
@@ -192,32 +205,6 @@ def rk3_step(state: State, grid: Grid, t: float, dt: float,
 # implicit stage machinery
 
 
-def _thomas_factor(sub, diag, sup):
-    """(sub, c, piv): the elimination of the tridiagonals along axis 0, no
-    pivoting (the systems are strictly diagonally dominant by construction)."""
-    c = np.empty_like(diag)
-    piv = np.empty_like(diag)
-    piv[0] = diag[0]
-    c[0] = sup[0] / diag[0]
-    for k in range(1, diag.shape[0]):
-        piv[k] = diag[k] - sub[k] * c[k - 1]
-        c[k] = sup[k] / piv[k]
-    return sub, c, piv
-
-
-def _thomas(factors, rhs):
-    """Vectorized tridiagonal solve along axis 0 with the `_thomas_factor`
-    elimination: forward and back substitution only."""
-    sub, c, piv = factors
-    x = np.empty_like(rhs)
-    x[0] = rhs[0] / piv[0]
-    for k in range(1, piv.shape[0]):
-        x[k] = (rhs[k] - sub[k] * x[k - 1]) / piv[k]
-    for k in range(piv.shape[0] - 2, -1, -1):
-        x[k] -= c[k] * x[k + 1]
-    return x
-
-
 @dataclass(frozen=True)
 class ImplicitWorkspace:
     """The frozen level-n stage matrix shared by the implicit stages of one
@@ -227,11 +214,10 @@ class ImplicitWorkspace:
     h_half: np.ndarray          # (M+1,)
     coeffs: ViscousCoeffs
     gamma_dt: float             # dt * a_im diagonal
-    sub: np.ndarray | float     # vertical tridiagonal of (I - gamma_dt * A),
-    diag: np.ndarray | float    # the scalars 0, 1, 0 if it is the identity
-    sup: np.ndarray | float     # (trivial coefficients)
-    vertical: tuple | None      # its `_thomas_factor` elimination, None if
-                                # it is the identity
+    vertical: sla.Columns | None  # the vertical tridiagonal of
+                                # (I - gamma_dt * A) in every column and its
+                                # elimination; None if it is the identity
+                                # (trivial coefficients)
     k_const: np.ndarray | float  # (n_max, M+1) constant forcing (wind), or 0
     w_hat: np.ndarray           # (n_max, M+1) velocity response to grad eta
     W: np.ndarray               # (M+1,) its column flux h * sum(l * w_hat),
@@ -282,10 +268,10 @@ def build_implicit_workspace(grid: Grid, h_half, coeffs: ViscousCoeffs,
     # trivial coefficients the matrix is exactly the identity
     ones = np.where(layout.active_half(), gamma_dt * grid.params.g / mesh.dx_half, 0.0)
     if coeffs.trivial:
-        (sub, diag, sup, k_const), vertical, w_hat = (0.0, 1.0, 0.0, 0.0), None, ones
+        vertical, k_const, w_hat = None, 0.0, ones
     else:
         sub, diag, sup, k_const = _vertical_matrix(grid, h_half, coeffs, gamma_dt)
-        vertical = _thomas_factor(sub, diag, sup)
+        vertical = sla.thomas_factor(sub, diag, sup)
         w_hat = _thomas(vertical, ones)
 
     # free surface: column flux K + W * (jump of eta) at each interface; an
@@ -319,7 +305,7 @@ def build_implicit_workspace(grid: Grid, h_half, coeffs: ViscousCoeffs,
         v_z = z[0] + r * z[-1]
     return ImplicitWorkspace(
         h_half=h_half, coeffs=coeffs, gamma_dt=gamma_dt,
-        sub=sub, diag=diag, sup=sup, vertical=vertical, k_const=k_const,
+        vertical=vertical, k_const=k_const,
         w_hat=w_hat, W=W, fac=fac, factors=factors, z=z, r=r, v_z=v_z)
 
 
@@ -376,9 +362,12 @@ def implicit_residual(grid: Grid, ws: ImplicitWorkspace, eta_expl, u_expl,
     grad = g * np.diff(ghost_elevation(eta, grid, t_stage)) / mesh.dx_half
 
     # A u + k via the stored tridiagonal of (I - gd A)
-    up = np.vstack([u[1:, :], np.zeros((1, u.shape[1]))])
-    um = np.vstack([np.zeros((1, u.shape[1])), u[:-1, :]])
-    Tu = ws.diag * u + ws.sup * up + ws.sub * um      # (I - gd A) u
+    Tu = u
+    if ws.vertical is not None:
+        up = np.vstack([u[1:, :], np.zeros((1, u.shape[1]))])
+        um = np.vstack([np.zeros((1, u.shape[1])), u[:-1, :]])
+        v = ws.vertical
+        Tu = v.diag * u + v.sup * up + v.sub * um      # (I - gd A) u
     res_u = Tu - gd * ws.k_const - (u_expl - gd * grad[None, :])
     res_u = np.where(act, res_u, 0.0)
 

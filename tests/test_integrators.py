@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import mlswe as m
-from mlswe.integrators import (_thomas, _thomas_factor, build_implicit_workspace,
-                               implicit_residual, implicit_stage_solve)
+from mlswe.integrators import (build_implicit_workspace, implicit_residual,
+                               implicit_stage_solve)
 from mlswe.spatial import prepare_fields, viscous_coefficients
+from mlswe.tridiag import thomas, thomas_factor
 
 
 def smooth_periodic_problem(M=40, n_layers=1, amp=0.01):
@@ -49,7 +50,7 @@ def test_thomas_matches_dense_solve():
     sup = rng.random((n, cols))
     diag = 4.0 + rng.random((n, cols))  # diagonally dominant
     rhs = rng.standard_normal((n, cols))
-    x = _thomas(_thomas_factor(sub, diag, sup), rhs)
+    x = thomas(thomas_factor(sub, diag, sup), rhs)
     for j in range(cols):
         A = (np.diag(diag[:, j]) + np.diag(sup[:-1, j], 1)
              + np.diag(sub[1:, j], -1))

@@ -1,28 +1,23 @@
-"""Record one point of the benchmark trajectory as BENCH_<pr>.json.
+"""Record one benchmark point, paired with its parent, as BENCH_<pr>.json.
 
-    python3 tools/bench_record.py --pr N [--parent REF]
+    python3 tools/bench_record.py --pr N --parent REF
 
-Runs the benchmark command of BENCHMARK.json (`python3 bench/run.py`)
-unchanged for every workload it lists: REPEAT times with --trace 0 for
-the end-to-end metrics, then once with --trace 1 for the per-layer
-metrics, each for the file's run_seconds. Writes BENCH_<N>.json at the
-root of the checkout: per workload the end-to-end metrics of every run
-and, whole, the run of lowest step_ms; the per-layer metrics; the
-correct/attempted/failed counts of each run; and a speed probe taken
-before and after the workload's runs. Also the line count of src/mlswe
-and the machine the runs were made on. The probe times a fixed numpy
-kernel; it rises when other work shares the machine (a virtual
-machine's load average does not show the host's), and absolute times
-recorded at a higher probe are not comparable with those at a lower
-one. Run it from any directory; it runs the checkout it belongs to.
-
-With --parent REF the record is paired: the committed files of REF are
-exported (`git archive`) into a temporary directory, and for each workload
-PAIRS untraced runs of REF's and of this checkout's `bench/run.py`
-alternate, REF first in the even-numbered pairs, then one traced run of
-each. Each workload then also holds REF's runs under "parent", in pair
-order, and the file names REF and its commit. Only paired runs compare a
-change with its parent on a shared machine.
+Exports the committed files of REF (`git archive`) into a temporary
+directory and runs the benchmark command of BENCHMARK.json (`python3
+bench/run.py`) unchanged in both trees for every workload it lists: PAIRS
+untraced runs of REF's and of this checkout's alternate, REF first in the
+even-numbered pairs, then one traced run of each, every run for the file's
+run_seconds. Only paired runs compare a change with its parent on a shared
+machine. Writes BENCH_<N>.json at the root of the checkout: per workload
+and side (this checkout at the top level, REF under "parent") the
+end-to-end metrics of every run in pair order and, whole, the run of
+lowest step_ms; the per-layer metrics; the correct/attempted/failed counts
+of each run; and a speed probe taken before and after the workload's runs.
+Also the line count of src/mlswe on both sides, REF and its commit, and the
+machine the runs were made on. The probe times a fixed numpy kernel; it
+rises when other work shares the machine (a virtual machine's load average
+does not show the host's). Run it from any directory; it runs the checkout
+it belongs to.
 """
 
 from __future__ import annotations
@@ -41,8 +36,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-REPEAT = 3  # untraced runs per workload
-PAIRS = 10  # untraced runs per workload and side when paired
+PAIRS = 10  # untraced runs per workload and side
 
 
 def bench_run(root, command, workload, seconds, trace) -> dict:
@@ -105,29 +99,25 @@ def export(ref, dest) -> str:
     return commit.stdout.strip()
 
 
-def record(parent_root=None) -> dict:
-    """The record of this checkout, paired with the one at `parent_root`
-    if given."""
+def record(parent_root) -> dict:
+    """The record of this checkout paired with the one at `parent_root`."""
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     command, seconds = bench["command"], bench["run_seconds"]
     units = {m["name"]: m["unit"] for m in bench["end_to_end"] + bench["per_layer"]}
-    roots = {"change": ROOT} if parent_root is None else {"parent": parent_root,
-                                                          "change": ROOT}
-    repeat = REPEAT if parent_root is None else PAIRS
+    roots = {"parent": parent_root, "change": ROOT}
     workloads = {}
     for w in bench["workloads"]:
         name = w["name"]
         probe_before = speed_probe()
         runs = {side: [] for side in roots}
-        for i in range(repeat):
+        for i in range(PAIRS):
             for side in (roots if i % 2 == 0 else reversed(roots)):
                 runs[side].append(bench_run(roots[side], command, name, seconds, 0))
         traced = {side: bench_run(root, command, name, seconds, 1)
                   for side, root in roots.items()}
         entry = _summary(runs["change"], traced["change"])
         entry["probe_us"] = [probe_before, speed_probe()]
-        if parent_root is not None:
-            entry["parent"] = _summary(runs["parent"], traced["parent"])
+        entry["parent"] = _summary(runs["parent"], traced["parent"])
         workloads[name] = entry
         for side in roots:
             med = {k: statistics.median(_values(r)[k] for r in runs[side])
@@ -136,7 +126,7 @@ def record(parent_root=None) -> dict:
     return {
         "command": command,
         "seconds": seconds,
-        "repeat": repeat,
+        "repeat": PAIRS,
         "units": units,
         "src_mlswe_lines": src_lines(ROOT),
         "machine": {"cpus": os.cpu_count(), "machine": platform.machine(),
@@ -148,18 +138,15 @@ def record(parent_root=None) -> dict:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--pr", type=int, required=True, help="the N of BENCH_<N>.json")
-    p.add_argument("--parent", metavar="REF",
-                   help="pair every run with one of this git commit")
+    p.add_argument("--parent", metavar="REF", required=True,
+                   help="the git commit to pair every run with")
     args = p.parse_args(argv)
     out = ROOT / f"BENCH_{args.pr}.json"
-    if args.parent is None:
-        result = record()
-    else:
-        with tempfile.TemporaryDirectory(prefix="bench_parent_") as tmp:
-            commit = export(args.parent, Path(tmp))
-            result = record(Path(tmp))
-            result["parent"] = {"ref": args.parent, "commit": commit,
-                                "src_mlswe_lines": src_lines(Path(tmp))}
+    with tempfile.TemporaryDirectory(prefix="bench_parent_") as tmp:
+        commit = export(args.parent, Path(tmp))
+        result = record(Path(tmp))
+        result["parent"] = {"ref": args.parent, "commit": commit,
+                            "src_mlswe_lines": src_lines(Path(tmp))}
     out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     return 0
