@@ -12,9 +12,8 @@ from .cases import (CASES, CaseSpec, build_problem, case_internal_wave,
 from .harness import (RunReport, RunResult, error_norms, front_positions,
                       front_speed, project_state, run_case)
 from .integrators import (ButcherPair, IMEXIntegrator, RK3Integrator,
-                          StepFailure, adaptive_dt, ark2_tableau,
-                          courant_dt, courant_numbers, imex_ark2_step,
-                          rk3_step)
+                          StepFailure, ark2_tableau, courant_dt,
+                          courant_numbers, imex_ark2_step, rk3_step)
 from .layers import LayerLayout, LayoutError, build_layout, uniform_layout
 from .linear import (AssembledA, LinearModel, assemble_A,
                      characteristic_residual, hyperbolicity_check, spectrum)
@@ -29,9 +28,8 @@ __all__ = [
     "case_lock_exchange", "case_tidal", "lock_exchange_theoretical_speed",
     "RunReport", "RunResult", "error_norms", "front_positions", "front_speed",
     "project_state", "run_case", "ButcherPair",
-    "IMEXIntegrator", "RK3Integrator", "StepFailure", "adaptive_dt",
-    "ark2_tableau", "courant_dt", "courant_numbers", "imex_ark2_step",
-    "rk3_step",
+    "IMEXIntegrator", "RK3Integrator", "StepFailure", "ark2_tableau",
+    "courant_dt", "courant_numbers", "imex_ark2_step", "rk3_step",
     "LayerLayout", "LayoutError", "build_layout", "uniform_layout",
     "AssembledA", "LinearModel", "assemble_A", "characteristic_residual",
     "hyperbolicity_check", "spectrum", "Mesh1D", "build_mesh", "Grid",

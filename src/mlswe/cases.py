@@ -9,7 +9,7 @@ from typing import Callable
 import numpy as np
 
 from .bc import Boundaries, Discharge, Elevation, Wall
-from .layers import LayerLayout, build_layout
+from .layers import CONFORMAL_TOL, LayerLayout, build_layout
 from .mesh import build_mesh
 from .spatial import Grid
 from .state import PhysParams, WallFriction, Wind, rest_state
@@ -158,17 +158,40 @@ TIDAL_LAYOUTS = {
 }
 
 
-def tidal_exterior_density() -> np.ndarray:
+def tidal_exterior_density(fractions=None) -> np.ndarray:
+    """The sea-side density profile on 10 equal layers or, given layer
+    `fractions`, its thickness-weighted mean over each of those layers'
+    span of the column."""
     rho_ext = np.full(10, 0.03)
     rho_ext[7:] = [0.028, 0.025, 0.015]
-    return rho_ext
+    if fractions is None:
+        return rho_ext
+    return _column_mean(rho_ext, np.full(10, 0.1), np.asarray(fractions, float))
+
+
+def _column_mean(values, l_from, l_to) -> np.ndarray:
+    """Thickness-weighted mean of the layer values `values` (on fractions
+    l_from) over each layer of l_to in the same column: the lowest
+    overlapping value plus the mean deviation from it, so that a layer
+    inside one source layer takes its value exactly."""
+    def spans(l):
+        top = np.cumsum(l)
+        return np.concatenate([[0.0], top[:-1]])[:, None], top[:, None]
+
+    (lo_f, hi_f), (lo_t, hi_t) = spans(l_from), spans(l_to)
+    overlap = np.minimum(hi_t, hi_f.T) - np.maximum(lo_t, lo_f.T)  # (to, from)
+    overlap = np.where(overlap > CONFORMAL_TOL, overlap, 0.0)
+    base = values[np.argmax(overlap > 0.0, axis=1)]
+    return base + np.sum(overlap * (values - base[:, None]), axis=1) / l_to
 
 
 def case_tidal(layout: str = "uniform", **overrides) -> CaseSpec:
     if layout not in TIDAL_LAYOUTS:
         raise ValueError(f"unknown tidal layout {layout!r}")
     layers = overrides.get("layers", TIDAL_LAYOUTS[layout])
-    rho_ext = tidal_exterior_density()
+    # the fraction tables of the left and the right end
+    tables = [frac for _, frac in layers] if isinstance(layers, list) else [layers]
+    rho_ext = tidal_exterior_density(tables[-1])
     omega = 2.0 * np.pi / DAY_12H
 
     def eta_bc(t):
@@ -180,7 +203,7 @@ def case_tidal(layout: str = "uniform", **overrides) -> CaseSpec:
     def q_left(t):
         return min(1.0, t / RAMP)
 
-    n_left = len(layers[0][1] if isinstance(layers, list) else layers)
+    n_left = len(tables[0])
 
     def rho_bc_left(t):
         return np.zeros(n_left)

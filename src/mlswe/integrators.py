@@ -2,14 +2,19 @@
 
 Each step is one loop over the rows of its tableau. SSP-RK3 runs the three
 Shu-Osher rows (Shu & Osher, J. Comput. Phys. 77, 1988) on (eta, u,
-rho*l*h). IMEX-ARK2 (Giraldo, Kelly & Constantinescu, SIAM J. Sci. Comput.
-35, 2013) treats the barotropic pressure gradient, the mass flux and the
-vertical viscous exchange implicitly, the rest explicitly. Its implicit
-operator is frozen at time level n and both implicit stages share one
-diagonal, so the stage matrix is built and factored once per step: the
-vertical tridiagonal of every column, and the free-surface tridiagonal
-along the domain (with, if periodic, its Sherman-Morrison correction),
-both eliminated by mlswe's own `tridiag` kernels. Each solve after that is
+rho*l*h). IMEX-ARK2 (Giraldo, Kelly & Constantinescu, SIAM J. Sci. Comput. 35,
+2013) treats the barotropic pressure gradient, the mass flux and the
+vertical viscous exchange implicitly, the rest explicitly.
+
+The vertical exchange A u + k is built once per state, as the tridiagonal
+bands of every column (`spatial.viscous_coefficients`), and both
+integrators read it: as the explicit tendency (`spatial.viscous_exchange`),
+and in the IMEX step also as the stage matrix and in its residual. The
+implicit operator is frozen at time level n and both implicit stages share
+one diagonal, so the stage matrix is built and factored once per step:
+I - gamma dt A in every column, and the free-surface tridiagonal along the
+domain (with, if periodic, its Sherman-Morrison correction), both
+eliminated by mlswe's own `tridiag` kernels. Each solve after that is
 forward and back substitution only. Level n is evaluated once; each later
 stage solves from the explicit values of its tableau rows and evaluates
 only what a later stage or the assembly reads (stage 2's stiff tendency
@@ -34,12 +39,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spatial import (Grid, ViscousCoeffs, boundary_velocities,
+from .spatial import (Grid, VerticalOperator, boundary_velocities,
                       compute_tendencies, density_rhs_flux, free_surface_rhs,
                       ghost_elevation, layer_flux, mass_transfer,
                       momentum_nonstiff, momentum_stiff, prepare_fields,
                       upwind_interface, vertical_density_term,
-                      viscous_coefficients)
+                      viscous_coefficients, viscous_exchange)
 from .state import State
 # bench/spans.py traces the free-surface solve as sla.solve_banded and the
 # column solve as _thomas
@@ -127,14 +132,6 @@ def courant_dt(c: float, target: float, dt_max: float = np.inf) -> float:
     return float(min(target / c, dt_max))
 
 
-def adaptive_dt(state: State, grid: Grid, target: float, *,
-                kind: str = "cel", dt_max: float = np.inf) -> float:
-    """Largest dt whose Courant number (of the requested kind) equals the
-    target on the current state, capped at dt_max."""
-    c_cel, c_vel = courant_numbers(state, grid, 1.0)
-    return courant_dt(c_cel if kind == "cel" else c_vel, target, dt_max)
-
-
 def _check_state(state: State, grid: Grid) -> State:
     if not state.all_finite():
         raise StepFailure("non-finite field value")
@@ -212,13 +209,10 @@ class ImplicitWorkspace:
     tridiagonal along the domain."""
 
     h_half: np.ndarray          # (M+1,)
-    coeffs: ViscousCoeffs
+    A: VerticalOperator | None  # the level-n vertical exchange, None if zero
     gamma_dt: float             # dt * a_im diagonal
-    vertical: sla.Columns | None  # the vertical tridiagonal of
-                                # (I - gamma_dt * A) in every column and its
-                                # elimination; None if it is the identity
-                                # (trivial coefficients)
-    k_const: np.ndarray | float  # (n_max, M+1) constant forcing (wind), or 0
+    vertical: sla.Columns | None  # the elimination of (I - gamma_dt * A) in
+                                # every column; None if it is the identity
     w_hat: np.ndarray           # (n_max, M+1) velocity response to grad eta
     W: np.ndarray               # (M+1,) its column flux h * sum(l * w_hat),
                                 # 0 at discharge ends, W[M] = W[0] if periodic
@@ -232,46 +226,17 @@ class ImplicitWorkspace:
     v_z: float                  # periodic: v . z
 
 
-def _vertical_matrix(grid: Grid, h_half, coeffs: ViscousCoeffs, gamma_dt: float):
-    """(sub, diag, sup, k_const): the vertical tridiagonal of
-    (I - gamma_dt * A) in every column and the constant forcing k. The
-    exchange coefficients are zero above the live interfaces, so off the
-    live layers the rows are the identity's and k is zero without a mask."""
-    layout = grid.layout
-    n_max, Mp1 = layout.n_max, h_half.size
-    inv_lh = 1.0 / (layout.l_half_safe * h_half)
-
-    a = coeffs.a  # (n_max+1, Mp1)
-    upper_c = a[1:, :].copy()   # coefficient coupling layer k to k+1
-    lower_c = a[:-1, :].copy()  # coefficient coupling layer k to k-1
-    # bottom drag / wind stress replace the outer exchange coefficients
-    lower_c[0, :] = coeffs.c_bot
-    cols = np.arange(Mp1)
-    top = np.maximum(layout.n_half - 1, 0)
-    upper_c[top, cols] = coeffs.c_wind
-
-    diag_a = -(upper_c + lower_c) * inv_lh
-    sup_a = np.zeros((n_max, Mp1))
-    sub_a = np.zeros((n_max, Mp1))
-    sup_a[:-1, :] = a[1:n_max, :] * inv_lh[:-1, :]
-    sub_a[1:, :] = a[1:n_max, :] * inv_lh[1:, :]
-
-    k_const = np.zeros((n_max, Mp1))
-    k_const[top, cols] = coeffs.c_wind * coeffs.u_wind * inv_lh[top, cols]
-    return -gamma_dt * sub_a, 1.0 - gamma_dt * diag_a, -gamma_dt * sup_a, k_const
-
-
-def build_implicit_workspace(grid: Grid, h_half, coeffs: ViscousCoeffs,
+def build_implicit_workspace(grid: Grid, h_half, A: VerticalOperator | None,
                              gamma_dt: float) -> ImplicitWorkspace:
     layout, mesh, M = grid.layout, grid.mesh, grid.mesh.M
-    # the same matrix and right-hand side in every stage of the step; with
-    # trivial coefficients the matrix is exactly the identity
+    # the same matrix and right-hand side in every stage of the step; without
+    # vertical exchange the column matrix is exactly the identity
     ones = np.where(layout.active_half(), gamma_dt * grid.params.g / mesh.dx_half, 0.0)
-    if coeffs.trivial:
-        vertical, k_const, w_hat = None, 0.0, ones
+    if A is None:
+        vertical, w_hat = None, ones
     else:
-        sub, diag, sup, k_const = _vertical_matrix(grid, h_half, coeffs, gamma_dt)
-        vertical = sla.thomas_factor(sub, diag, sup)
+        vertical = sla.thomas_factor(-gamma_dt * A.sub, 1.0 - gamma_dt * A.diag,
+                                     -gamma_dt * A.sup)
         w_hat = _thomas(vertical, ones)
 
     # free surface: column flux K + W * (jump of eta) at each interface; an
@@ -304,8 +269,7 @@ def build_implicit_workspace(grid: Grid, h_half, coeffs: ViscousCoeffs,
         r = alpha / gamma
         v_z = z[0] + r * z[-1]
     return ImplicitWorkspace(
-        h_half=h_half, coeffs=coeffs, gamma_dt=gamma_dt,
-        vertical=vertical, k_const=k_const,
+        h_half=h_half, A=A, gamma_dt=gamma_dt, vertical=vertical,
         w_hat=w_hat, W=W, fac=fac, factors=factors, z=z, r=r, v_z=v_z)
 
 
@@ -326,8 +290,8 @@ def implicit_stage_solve(grid: Grid, ws: ImplicitWorkspace,
 
     # the padded layers stay decoupled in the solve and carry no flux; the
     # returned velocities are masked below
-    rhs_u = u_expl + ws.gamma_dt * ws.k_const
-    u_hat = rhs_u if ws.vertical is None else _thomas(ws.vertical, rhs_u)
+    u_hat = u_expl if ws.A is None else _thomas(ws.vertical,
+                                                u_expl + ws.gamma_dt * ws.A.k)
 
     # the stage's column flux, prescribed at the discharge ends
     K = np.sum(layer_flux(u_hat, ws.h_half, grid, t_stage), axis=0)
@@ -360,16 +324,8 @@ def implicit_residual(grid: Grid, ws: ImplicitWorkspace, eta_expl, u_expl,
     act = grid.evolved_u
 
     grad = g * np.diff(ghost_elevation(eta, grid, t_stage)) / mesh.dx_half
-
-    # A u + k via the stored tridiagonal of (I - gd A)
-    Tu = u
-    if ws.vertical is not None:
-        up = np.vstack([u[1:, :], np.zeros((1, u.shape[1]))])
-        um = np.vstack([np.zeros((1, u.shape[1])), u[:-1, :]])
-        v = ws.vertical
-        Tu = v.diag * u + v.sup * up + v.sub * um      # (I - gd A) u
-    res_u = Tu - gd * ws.k_const - (u_expl - gd * grad[None, :])
-    res_u = np.where(act, res_u, 0.0)
+    Au = 0.0 if ws.A is None else viscous_exchange(u, ws.A)  # A u + k
+    res_u = np.where(act, u - gd * Au - (u_expl - gd * grad[None, :]), 0.0)
 
     F = np.sum(layer_flux(u, ws.h_half, grid, t_stage), axis=0)
     res_eta = eta - eta_expl + gd * (F[1:] - F[:M]) / mesh.dx
@@ -396,15 +352,15 @@ class IMEXIntegrator:
         lh_rho_n = grid.layout.l_int * (state.eta - grid.mesh.b) * state.rho
 
         # level n, the only stage whose stiff tendencies are evaluated: its
-        # interface height and viscous coefficients freeze the implicit operator
+        # interface height and vertical exchange freeze the implicit operator
         self.n_rhs += 1
         fs = prepare_fields(state, grid, t)
         h_half = fs.h_half
         G = mass_transfer(fs.u, fs.flux, h_half, grid)
-        coeffs = viscous_coefficients(grid, h_half, fs.u)
-        ws = build_implicit_workspace(grid, h_half, coeffs, gamma_dt)
+        A = viscous_coefficients(grid, h_half, fs.u)
+        ws = build_implicit_workspace(grid, h_half, A, gamma_dt)
         N = [momentum_nonstiff(fs, G, grid, self.limiter)]
-        S_u, S_eta = [momentum_stiff(fs, coeffs, grid)], [free_surface_rhs(fs, grid)]
+        S_u, S_eta = [momentum_stiff(fs, A, grid)], [free_surface_rhs(fs, grid)]
         H = [density_rhs_flux(fs.rho_half, fs.u, fs.flux, h_half, grid)]
         V = [vertical_density_term(state.rho, G, grid)]
         u_f, F, rho = fs.u, fs.flux, state.rho

@@ -138,6 +138,35 @@ class Grid:
         return _read_only(k < self.layout.n_int[None, :])
 
     @cached_property
+    def exchange_interfaces(self) -> np.ndarray:
+        """Read-only (n_max-1, M+1) mask of the layer interfaces k = 1..n_max-1
+        (row k-1) between two live layers at each velocity point."""
+        k = np.arange(1, self.layout.n_max)[:, None]
+        return _read_only(k < self.layout.n_half[None, :])
+
+    @cached_property
+    def frac_below(self) -> np.ndarray:
+        """Read-only (n_max-1, M+1) column fraction below each layer interface
+        k = 1..n_max-1 (row k-1) at each velocity point."""
+        return _read_only(np.cumsum(self.layout.l_half, axis=0)[:-1, :])
+
+    @cached_property
+    def l_v(self) -> np.ndarray:
+        """Read-only (n_max-1, M+1) mean fraction of the two layers around each
+        interface k = 1..n_max-1 (row k-1): the spacing of the vertical
+        exchange, in column fractions (1 where not both layers are live)."""
+        l = self.layout.l_half
+        return _read_only(np.where(self.exchange_interfaces,
+                                   0.5 * (l[:-1, :] + l[1:, :]), 1.0))
+
+    @cached_property
+    def top_layer(self) -> tuple:
+        """(layer, column) index arrays, read-only, of the top live layer at
+        each velocity point."""
+        return (_read_only(np.maximum(self.layout.n_half - 1, 0)),
+                _read_only(np.arange(self.mesh.M + 1)))
+
+    @cached_property
     def evolved_u(self) -> np.ndarray:
         """Read-only (n_max, M+1) mask of the prognostic velocities: live
         layers at every interface except the periodic alias and the ends of
@@ -282,7 +311,6 @@ class FieldSet:
 
     u: np.ndarray         # (n_max, M+1) with boundary columns applied
     eta_g: np.ndarray     # (M+2,)
-    b_g: np.ndarray       # (M+2,)
     h_g: np.ndarray       # (M+2,)
     h_half: np.ndarray    # (M+1,)
     rho_L: np.ndarray     # (n_max, M+1)
@@ -307,7 +335,7 @@ def prepare_fields(state: State, grid: Grid, t: float, u_full=None) -> FieldSet:
     flux = layer_flux(u_full, h_half, grid, t)
 
     rho_L, rho_R = interface_cell_scalars(rho_g, grid)
-    return FieldSet(u=u_full, eta_g=eta_g, b_g=b_g, h_g=h_g, h_half=h_half,
+    return FieldSet(u=u_full, eta_g=eta_g, h_g=h_g, h_half=h_half,
                     rho_L=rho_L, rho_R=rho_R,
                     rho_half=upwind_interface(rho_L, rho_R, u_full), flux=flux,
                     F=np.sum(flux, axis=0))
@@ -495,74 +523,62 @@ def _transfer_at_velocity_points(G, grid: Grid):
 # vertical viscosity / friction
 
 
-@dataclass
-class ViscousCoeffs:
-    """Per-column exchange coefficients: a[k] couples layers k-1 and k
-    (already divided by the interface spacing l_v*h); c_bot and c_wind are
-    the linearized bottom drag and wind-stress coefficients."""
+class VerticalOperator(NamedTuple):
+    """The vertical exchange A u + k of every column: viscosity and
+    mixing-length eddy viscosity between the layers, linearized bottom drag
+    below the bottom layer and wind stress above the top one. The bands are
+    zero off the live layers."""
 
-    a: np.ndarray        # (n_max+1, M+1); rows 1..n-1 active
-    c_bot: np.ndarray    # (M+1,)
-    c_wind: np.ndarray   # (M+1,)
-    u_wind: float
-    trivial: bool
+    sub: np.ndarray   # (n_max, M+1) sub[k] couples layer k to k-1 (sub[0] = 0)
+    diag: np.ndarray  # (n_max, M+1)
+    sup: np.ndarray   # (n_max, M+1) sup[k] couples layer k to k+1 (sup[-1] = 0)
+    k: np.ndarray     # (n_max, M+1) constant forcing (wind), zero below the top
 
 
-def viscous_coefficients(grid: Grid, h_half, u_ref) -> ViscousCoeffs:
+def viscous_coefficients(grid: Grid, h_half, u_ref) -> VerticalOperator | None:
+    """A at the interface height h_half, its drag, wind stress and eddy
+    viscosity linearized about the velocity u_ref; None when nothing is
+    exchanged (no viscosity, friction or wind)."""
     layout, p = grid.layout, grid.params
+    if p.nu == 0.0 and p.friction is None and p.wind.c_w == 0.0:
+        return None
     n_max, Mp1 = layout.n_max, h_half.size
-    a = np.zeros((n_max + 1, Mp1))
-    c_bot = np.zeros(Mp1)
-    c_wind = np.zeros(Mp1)
+    inv_lh = 1.0 / (layout.l_half_safe * h_half)
 
-    trivial = p.nu == 0.0 and p.friction is None and p.wind.c_w == 0.0
-    if trivial:
-        return ViscousCoeffs(a, c_bot, c_wind, p.wind.u_w, True)
-
-    kk = np.arange(1, n_max)[:, None]
-    act = kk < layout.n_half[None, :]
-
-    cf = np.zeros(Mp1)
+    nu = p.nu
     if p.friction is not None:
         dz_r = layout.l_half[0, :] * h_half
-        arg = np.maximum(dz_r / p.friction.dz0, np.e)
-        cf = (p.friction.kappa / np.log(arg)) ** 2
-        c_bot = cf * np.abs(u_ref[0, :])
+        cf = (p.friction.kappa / np.log(np.maximum(dz_r / p.friction.dz0, np.e))) ** 2
+        if p.mixing_length:
+            u_star = np.sqrt(cf) * np.abs(u_ref[0, :])
+            z = grid.frac_below * h_half  # interface heights
+            nu = nu + p.friction.kappa * u_star * z * np.maximum(1.0 - z / h_half, 0.0)
 
-    nu = np.full((n_max - 1, Mp1), p.nu)
-    if p.mixing_length and p.friction is not None:
-        u_star = np.sqrt(cf) * np.abs(u_ref[0, :])
-        z = np.cumsum(layout.l_half, axis=0)[:-1, :] * h_half  # interface heights
-        prof = p.friction.kappa * u_star * z * np.maximum(1.0 - z / h_half, 0.0)
-        nu = nu + prof
-    nu = np.where(act, nu, 0.0)
-
-    l_v = 0.5 * (layout.l_half[:-1, :] + layout.l_half[1:, :])
-    l_v = np.where(act, l_v, 1.0)
-    a[1:n_max, :] = nu / (l_v * h_half)
-
+    # lower[k] couples layer k to the one below it, upper[k] to the one above
+    lower = np.zeros((n_max, Mp1))
+    upper = np.zeros((n_max, Mp1))
+    lower[1:] = upper[:-1] = (np.where(grid.exchange_interfaces, nu, 0.0)
+                              / (grid.l_v * h_half))
+    sub, sup = lower * inv_lh, upper * inv_lh
+    # bottom drag couples the bottom layer to the bed, wind stress the top
+    # layer to the wind
+    k = np.zeros((n_max, Mp1))
+    if p.friction is not None:
+        lower[0] = cf * np.abs(u_ref[0, :])
     if p.wind.c_w > 0.0:
-        top = np.maximum(layout.n_half - 1, 0)
-        u_top = u_ref[top, np.arange(Mp1)]
-        c_wind = p.wind.c_w * np.abs(p.wind.u_w - u_top)
-    return ViscousCoeffs(a, c_bot, c_wind, p.wind.u_w, False)
+        top = grid.top_layer
+        c_wind = p.wind.c_w * np.abs(p.wind.u_w - u_ref[top])
+        upper[top] = c_wind
+        k[top] = c_wind * p.wind.u_w * inv_lh[top]
+    return VerticalOperator(sub, -(upper + lower) * inv_lh, sup, k)
 
 
-def viscous_exchange(u, h_half, coeffs: ViscousCoeffs, grid: Grid):
-    """Explicit evaluation of the vertical viscosity/friction term (stiff)."""
-    layout = grid.layout
-    n_max = layout.n_max
-    K = np.zeros((n_max + 1, u.shape[1]))
-    K[1:n_max, :] = coeffs.a[1:n_max, :] * (u[1:, :] - u[:-1, :])
-    K[0, :] = coeffs.c_bot * u[0, :]
-    top = np.maximum(layout.n_half - 1, 0)
-    cols = np.arange(u.shape[1])
-    u_top = u[top, cols]
-    K[layout.n_half, cols] = coeffs.c_wind * (coeffs.u_wind - u_top)
-    upper = K[1:, :]
-    lower = K[:-1, :]
-    out = (upper - lower) / (layout.l_half_safe * h_half)
-    return np.where(layout.active_half(), out, 0.0)
+def viscous_exchange(u, A: VerticalOperator) -> np.ndarray:
+    """A u + k: the vertical viscosity/friction tendency of u (stiff)."""
+    out = A.diag * u + A.k
+    out[1:] += A.sub[1:] * u[:-1]
+    out[:-1] += A.sup[:-1] * u[1:]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -578,17 +594,19 @@ class Tendencies:
 
 
 def barotropic_gradient(fs: FieldSet, grid: Grid) -> np.ndarray:
+    """-g d eta/dx at the prognostic velocities, zero elsewhere."""
     grad = grid.grad_factor * (fs.eta_g[1:] - fs.eta_g[:-1])
-    return np.where(grid.layout.active_half(), grad, 0.0)
+    return np.where(grid.evolved_u, grad, 0.0)
 
 
-def momentum_stiff(fs: FieldSet, coeffs: ViscousCoeffs, grid: Grid) -> np.ndarray:
+def momentum_stiff(fs: FieldSet, A: VerticalOperator | None, grid: Grid) -> np.ndarray:
     """Stiff momentum tendency: barotropic pressure gradient plus vertical
-    viscosity and friction, zero off the prognostic velocities."""
+    viscosity and friction (A from `viscous_coefficients`), zero off the
+    prognostic velocities."""
     d_u = barotropic_gradient(fs, grid)
-    if not coeffs.trivial:  # trivial coefficients exchange nothing
-        d_u = d_u + viscous_exchange(fs.u, fs.h_half, coeffs, grid)
-    return np.where(grid.evolved_u, d_u, 0.0)
+    if A is not None:
+        d_u += np.where(grid.evolved_u, viscous_exchange(fs.u, A), 0.0)
+    return d_u
 
 
 def momentum_nonstiff(fs: FieldSet, G, grid: Grid, limiter: bool) -> np.ndarray:
@@ -612,8 +630,8 @@ def compute_tendencies(state: State, grid: Grid, t: float, *,
     """Full spatial right-hand side at (state, t)."""
     fs = prepare_fields(state, grid, t)
     G = mass_transfer(fs.u, fs.flux, fs.h_half, grid)
-    coeffs = viscous_coefficients(grid, fs.h_half, fs.u)
+    A = viscous_coefficients(grid, fs.h_half, fs.u)
     return Tendencies(d_eta=free_surface_rhs(fs, grid),
-                      d_u_stiff=momentum_stiff(fs, coeffs, grid),
+                      d_u_stiff=momentum_stiff(fs, A, grid),
                       d_u_nonstiff=momentum_nonstiff(fs, G, grid, limiter),
                       d_r=density_tendency(fs, G, state.rho, grid))

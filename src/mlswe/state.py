@@ -81,20 +81,19 @@ class Wind:
 @dataclass(frozen=True)
 class PhysParams:
     g: float = 9.81
-    rho0: float = 1000.0
     nu: float = 0.0                     # constant kinematic viscosity
     mixing_length: bool = False         # parabolic eddy-viscosity profile
     friction: WallFriction | None = None
     wind: Wind = field(default_factory=Wind)
 
     def __post_init__(self):
-        if self.g <= 0 or self.rho0 <= 0:
-            raise ValueError("g and rho0 must be positive")
+        if self.g <= 0:
+            raise ValueError("g must be positive")
         if self.nu < 0 or self.wind.c_w < 0:
             raise ValueError("closure parameters must be nonnegative")
 
 
-def total_volume(state: State, mesh, layout=None) -> float:
+def total_volume(state: State, mesh) -> float:
     """Water volume per unit width: sum_i h_i dx_i."""
     return float(np.sum((state.eta - mesh.b) * mesh.dx))
 

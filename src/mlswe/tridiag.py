@@ -72,18 +72,17 @@ def solve_banded(factors: Factors, rhs: np.ndarray) -> np.ndarray:
 
 
 class Columns(NamedTuple):
-    """Tridiagonal systems along axis 0, one per column, and their
-    elimination."""
+    """The elimination of tridiagonal systems along axis 0, one per column:
+    what the substitutions read."""
 
     sub: np.ndarray   # sub[k] couples row k to row k-1 (sub[0] unused)
-    diag: np.ndarray
-    sup: np.ndarray   # sup[k] couples row k to row k+1 (sup[-1] unused)
     c: np.ndarray     # sup / pivot
     piv: np.ndarray   # pivots
 
 
 def thomas_factor(sub, diag, sup) -> Columns:
-    """Eliminate the tridiagonals along axis 0 without pivoting."""
+    """Eliminate the tridiagonals along axis 0 without pivoting (sup[k]
+    couples row k to row k+1; sup[-1] unused)."""
     c = np.empty_like(diag)
     piv = np.empty_like(diag)
     piv[0] = diag[0]
@@ -91,7 +90,7 @@ def thomas_factor(sub, diag, sup) -> Columns:
     for k in range(1, diag.shape[0]):
         piv[k] = diag[k] - sub[k] * c[k - 1]
         c[k] = sup[k] / piv[k]
-    return Columns(sub, diag, sup, c, piv)
+    return Columns(sub, c, piv)
 
 
 def thomas(cols: Columns, rhs: np.ndarray) -> np.ndarray:

@@ -37,3 +37,17 @@ def test_horizontal_solve_is_traced():
     with spans.Tracer(("integrators.horizontal_solve",)) as tracer:
         m.IMEXIntegrator(grid).step(state, 0.0, 0.04)
     assert tracer.stats["integrators.horizontal_solve"].calls > 0
+
+
+def test_vertical_operator_is_traced():
+    """One IMEX step with vertical exchange builds A once, evaluates its
+    explicit tendency once and solves the column systems three times (one
+    velocity response, one solve per implicit stage), each under the label
+    the benchmark's per-layer record reads."""
+    spans = _load_spans()
+    labels = ("spatial.viscous_coefficients", "spatial.viscous_exchange",
+              "integrators.vertical_solve")
+    grid, state = m.build_problem(m.case_tidal("nvar4", M=40))
+    with spans.Tracer(labels) as tracer:
+        m.IMEXIntegrator(grid).step(state, 0.0, 20.0)
+    assert [tracer.stats[label].calls for label in labels] == [1, 1, 3]

@@ -96,6 +96,27 @@ def test_tidal_layers_override_sizes_the_inflow_profile():
     assert state.all_finite()
 
 
+def test_tidal_layers_override_sizes_the_sea_side_profile():
+    """The sea-side density takes the right end's own layers: the default
+    profile as it is, each parent value twice on 20 layers, and the
+    thickness-weighted means on 4 layers (0.25 = 0.1 + 0.1 + 0.05)."""
+    rho_ext = tidal_exterior_density()
+    assert m.case_tidal().bounds.right.rho(1e6).tobytes() == rho_ext.tobytes()
+    quarter = [0.03, 0.03, (0.2 * 0.03 + 0.05 * 0.028) / 0.25,
+               (0.05 * 0.028 + 0.1 * 0.025 + 0.1 * 0.015) / 0.25]
+    for layers, want, exact in ((np.full(20, 0.05), np.repeat(rho_ext, 2), True),
+                                (np.full(4, 0.25), np.array(quarter), False)):
+        spec = m.case_tidal("uniform", layers=layers, M=40)
+        got = spec.bounds.right.rho(1e6)
+        if exact:
+            assert np.array_equal(got, want)
+        else:
+            assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+        grid, state = m.build_problem(spec)
+        assert grid.layout.n_half[-1] == layers.size
+        assert m.IMEXIntegrator(grid).step(state, 7.0 * 3600.0, 20.0).all_finite()
+
+
 def test_case_spec_validation():
     with pytest.raises(ValueError):
         m.case_internal_wave(t_final=-1.0)

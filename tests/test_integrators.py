@@ -4,8 +4,9 @@ import pytest
 import mlswe as m
 from mlswe.integrators import (build_implicit_workspace, implicit_residual,
                                implicit_stage_solve)
-from mlswe.spatial import prepare_fields, viscous_coefficients
+from mlswe.spatial import prepare_fields, viscous_coefficients, viscous_exchange
 from mlswe.tridiag import thomas, thomas_factor
+from test_step_reference import reference_runs
 
 
 def smooth_periodic_problem(M=40, n_layers=1, amp=0.01):
@@ -79,13 +80,14 @@ def test_courant_numbers_hand_computed():
 
 def test_adaptive_dt_inverts_courant_and_caps():
     grid, state = smooth_periodic_problem()
-    dt = m.adaptive_dt(state, grid, 0.5, kind="cel")
+    per_unit_dt = m.courant_numbers(state, grid, 1.0)
+    dt = m.courant_dt(per_unit_dt[0], 0.5)
     c_cel, _ = m.courant_numbers(state, grid, dt)
     assert c_cel == pytest.approx(0.5, rel=1e-12)
-    assert m.adaptive_dt(state, grid, 0.5, dt_max=1e-5) == 1e-5
+    assert m.courant_dt(per_unit_dt[0], 0.5, dt_max=1e-5) == 1e-5
     assert m.courant_dt(4.0, 0.5) == 0.125
     assert m.courant_dt(0.0, 0.5) == np.inf
-    dt_v = m.adaptive_dt(state, grid, 0.5, kind="vel")
+    dt_v = m.courant_dt(per_unit_dt[1], 0.5)
     _, c_vel = m.courant_numbers(state, grid, dt_v)
     assert c_vel == pytest.approx(0.5, rel=1e-12)
 
@@ -151,7 +153,7 @@ def test_stage_solves_share_one_workspace(bounds):
         state.u[:, -1] = state.u[:, 0]
     fs = prepare_fields(state, grid, 0.0)
     coeffs = viscous_coefficients(grid, fs.h_half, fs.u)
-    assert not coeffs.trivial
+    assert coeffs is not None
 
     def workspace():
         return build_implicit_workspace(grid, fs.h_half, coeffs, 0.02)
@@ -165,6 +167,26 @@ def test_stage_solves_share_one_workspace(bounds):
         assert implicit_residual(grid, ws, eta_e, u_e, eta, u, t) < 1e-12
     fresh = implicit_stage_solve(grid, workspace(), *stages[1])
     assert np.array_equal(eta, fresh[0]) and np.array_equal(u, fresh[1])
+
+
+@pytest.mark.parametrize("name", ["tidal_nvar4", "basin_424", "periodic_viscous"])
+def test_column_matrix_is_one_minus_gamma_dt_A(name):
+    """The workspace's eliminated column matrix, multiplied back out (L U,
+    L lower bidiagonal with the pivots, U unit upper with c), applied to a
+    random u gives u - gamma_dt A u: the stage matrix reads the same A as
+    the explicit tendency."""
+    _, _, grid, state, t, dt, _ = reference_runs()[name]
+    fs = prepare_fields(state, grid, t)
+    A = viscous_coefficients(grid, fs.h_half, fs.u)
+    ws = build_implicit_workspace(grid, fs.h_half, A, dt * m.ark2_tableau().a_im[1, 1])
+    u = np.random.default_rng(3).standard_normal(fs.u.shape)
+    sub, c, piv = ws.vertical
+    y = u.copy()
+    y[:-1] += c[:-1] * u[1:]
+    Tu = piv * y
+    Tu[1:] += sub[1:] * y[:-1]
+    want = u - ws.gamma_dt * (viscous_exchange(u, A) - A.k)
+    assert np.max(np.abs(Tu - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from mlswe import (Boundaries, Discharge, Elevation, PhysParams, State, Wall,
-                   build_layout, build_mesh, closed, compute_tendencies,
-                   periodic, rest_state, uniform_layout)
+                   build_layout, build_mesh, build_problem, case_tidal, closed,
+                   compute_tendencies, periodic, rest_state, uniform_layout)
 from mlswe import spatial
 from mlswe.spatial import (Grid, baroclinic_gradient, boundary_values,
                            density_interface_value, mass_transfer, minmod,
                            momentum_advection, prepare_fields,
                            upwind_interface, viscous_coefficients)
-from test_step_reference import reference_runs
+from test_step_reference import _perturb, reference_runs
 
 
 def make_grid(M=16, n_layers=3, x_max=1.0, bathymetry=0.0, bounds=None,
@@ -282,8 +282,7 @@ def test_viscous_coefficients_trivial_when_disabled():
     grid = make_grid(M=8, n_layers=3)
     st = rest_state(grid.mesh, grid.layout, eta0=0.4)
     fs = prepare_fields(st, grid, 0.0)
-    coeffs = viscous_coefficients(grid, fs.h_half, fs.u)
-    assert coeffs.trivial
+    assert viscous_coefficients(grid, fs.h_half, fs.u) is None
 
 
 def test_mixing_length_viscosity_profile():
@@ -293,12 +292,68 @@ def test_mixing_length_viscosity_profile():
     st = rest_state(grid.mesh, grid.layout, eta0=0.4)
     st.u[:] = 0.5
     fs = prepare_fields(st, grid, 0.0)
-    coeffs = viscous_coefficients(grid, fs.h_half, fs.u)
-    assert not coeffs.trivial
-    # law-of-wall drag coefficient for dz_r = l_1 h
+    A = viscous_coefficients(grid, fs.h_half, fs.u)
+    # law-of-wall drag coefficient for dz_r = l_1 h: the bottom row of A
+    # couples layer 0 to layer 1 (sup) and to the bed (drag)
     dz_r = 0.25 * 0.4
     cf = (0.41 / np.log(dz_r / 3.3e-5)) ** 2
-    assert coeffs.c_bot[4] == pytest.approx(cf * 0.5, rel=1e-12)
+    c_bot = -(A.diag[0, 4] + A.sup[0, 4]) * dz_r
+    assert c_bot == pytest.approx(cf * 0.5, rel=1e-12)
+
+
+def flux_form_exchange(grid, h_half, u_ref, u):
+    """Reference for A u + k: the vertical viscosity/friction term in flux
+    form, (K[k+1] - K[k]) / (l h) per layer, with the exchange flux
+    K[k] = a_k (u_k - u_{k-1}) between live layers, the bottom drag
+    K[0] = c_bot u_0 and the wind stress c_wind (u_w - u_top) above the top
+    layer, all linearized about u_ref."""
+    layout, p = grid.layout, grid.params
+    n_max, Mp1 = layout.n_max, h_half.size
+    cols = np.arange(Mp1)
+    top = np.maximum(layout.n_half - 1, 0)
+    act = np.arange(1, n_max)[:, None] < layout.n_half[None, :]
+    nu = np.full((n_max - 1, Mp1), p.nu)
+    K = np.zeros((n_max + 1, Mp1))
+    if p.friction is not None:
+        dz_r = layout.l_half[0, :] * h_half
+        cf = (p.friction.kappa / np.log(np.maximum(dz_r / p.friction.dz0, np.e))) ** 2
+        K[0] = cf * np.abs(u_ref[0, :]) * u[0, :]
+        if p.mixing_length:
+            u_star = np.sqrt(cf) * np.abs(u_ref[0, :])
+            z = np.cumsum(layout.l_half, axis=0)[:-1, :] * h_half
+            nu = nu + p.friction.kappa * u_star * z * np.maximum(1.0 - z / h_half, 0.0)
+    l_v = np.where(act, 0.5 * (layout.l_half[:-1, :] + layout.l_half[1:, :]), 1.0)
+    K[1:n_max] = np.where(act, nu, 0.0) / (l_v * h_half) * (u[1:, :] - u[:-1, :])
+    c_wind = p.wind.c_w * np.abs(p.wind.u_w - u_ref[top, cols])
+    K[layout.n_half, cols] = c_wind * (p.wind.u_w - u[top, cols])
+    out = (K[1:] - K[:-1]) / (layout.l_half_safe * h_half)
+    return np.where(layout.active_half(), out, 0.0)
+
+
+def _exchange_grids():
+    """Grids with vertical exchange: bottom drag, wind and mixing length with
+    transitions (tidal nvar4) and single-layer columns (nvar1), constant
+    viscosity across both transition orientations and on a periodic grid."""
+    runs = reference_runs()
+    grids = {name: runs[name][2:5] for name in
+             ("tidal_nvar4", "basin_242", "basin_424", "periodic_viscous")}
+    grid, state = build_problem(case_tidal(layout="nvar1", M=40))
+    grids["tidal_nvar1"] = grid, _perturb(grid, state, 0.5, 0.2, 0.01), 3.0 * 3600.0
+    return grids
+
+
+@pytest.mark.parametrize("name", sorted(_exchange_grids()))
+def test_viscous_exchange_is_the_flux_form(name):
+    """A u + k from A's bands equals the flux form to round-off, for a u
+    other than the one A is linearized about."""
+    grid, state, t = _exchange_grids()[name]
+    fs = prepare_fields(state, grid, t)
+    A = viscous_coefficients(grid, fs.h_half, fs.u)
+    u = np.where(grid.layout.active_half(),
+                 np.random.default_rng(7).standard_normal(fs.u.shape), 0.0)
+    want = flux_form_exchange(grid, fs.h_half, fs.u, u)
+    got = spatial.viscous_exchange(u, A)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +543,6 @@ def test_operators_keep_their_contract(name):
         "momentum_transfer_term": (
             lambda: spatial.momentum_transfer_term(fs, G, grid), [half]),
         "barotropic_gradient": (lambda: spatial.barotropic_gradient(fs, grid), [half]),
-        "viscous_exchange": (
-            lambda: spatial.viscous_exchange(fs.u, fs.h_half, coeffs, grid), [half]),
         "momentum_stiff": (lambda: spatial.momentum_stiff(fs, coeffs, grid), [evolved]),
         "momentum_nonstiff": (
             lambda: spatial.momentum_nonstiff(fs, G, grid, limiter), [evolved]),
@@ -499,6 +552,11 @@ def test_operators_keep_their_contract(name):
             lambda: compute_tendencies(state, grid, t, limiter=limiter),
             [None, evolved, evolved, cell]),
     }
+    if coeffs is not None:  # A, when the grid exchanges vertically
+        calls["viscous_coefficients"] = (
+            lambda: viscous_coefficients(grid, fs.h_half, fs.u), [half] * 4)
+        calls["viscous_exchange"] = (
+            lambda: spatial.viscous_exchange(fs.u, coeffs), [half])
     for op, (call, masks) in calls.items():
         first, second = _arrays(call()), _arrays(call())
         assert len(first) == len(masks), op
@@ -515,6 +573,7 @@ def test_grid_static_data_is_read_only():
     cols = grid.advection_columns
     static = [grid.b_g, grid.db, grid.grad_factor, grid.mid_depth, grid.l_dx_half,
               grid.sum_below, grid.sum_above, grid.inner_interfaces, grid.evolved_u,
+              grid.exchange_interfaces, grid.frac_below, grid.l_v, *grid.top_layer,
               *(getattr(cols, f) for f in cols._fields if f != "remap")]
     for a in static:
         assert not a.flags.writeable

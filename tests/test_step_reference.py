@@ -137,8 +137,9 @@ def _rhs_term_by_term(state, grid, t, limiter):
         evolved[0] = isinstance(grid.bounds.left, m.Elevation)
         evolved[-1] = isinstance(grid.bounds.right, m.Elevation)
     mask = evolved[None, :] & grid.layout.active_half()
-    stiff = barotropic_gradient(fs, grid) + viscous_exchange(
-        fs.u, fs.h_half, coeffs, grid)
+    stiff = barotropic_gradient(fs, grid)
+    if coeffs is not None:
+        stiff = stiff + viscous_exchange(fs.u, coeffs)
     nonstiff = (-momentum_advection(fs, grid, limiter)
                 + momentum_transfer_term(fs, G, grid) + baroclinic_gradient(fs, grid))
     rho_up = np.where(grid.layout.active_half(),
