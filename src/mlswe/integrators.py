@@ -231,7 +231,7 @@ def build_implicit_workspace(grid: Grid, h_half, A: VerticalOperator | None,
     layout, mesh, M = grid.layout, grid.mesh, grid.mesh.M
     # the same matrix and right-hand side in every stage of the step; without
     # vertical exchange the column matrix is exactly the identity
-    ones = np.where(layout.active_half(), gamma_dt * grid.params.g / mesh.dx_half, 0.0)
+    ones = np.where(layout.active_half(), gamma_dt * grid.params.g / grid.dx_half, 0.0)
     if A is None:
         vertical, w_hat = None, ones
     else:
@@ -323,7 +323,7 @@ def implicit_residual(grid: Grid, ws: ImplicitWorkspace, eta_expl, u_expl,
     gd = ws.gamma_dt
     act = grid.evolved_u
 
-    grad = g * np.diff(ghost_elevation(eta, grid, t_stage)) / mesh.dx_half
+    grad = g * np.diff(ghost_elevation(eta, grid, t_stage)) / grid.dx_half
     Au = 0.0 if ws.A is None else viscous_exchange(u, ws.A)  # A u + k
     res_u = np.where(act, u - gd * Au - (u_expl - gd * grad[None, :]), 0.0)
 
@@ -356,12 +356,12 @@ class IMEXIntegrator:
         self.n_rhs += 1
         fs = prepare_fields(state, grid, t)
         h_half = fs.h_half
-        G = mass_transfer(fs.u, fs.flux, h_half, grid)
+        G = mass_transfer(fs.flux, grid)
         A = viscous_coefficients(grid, h_half, fs.u)
         ws = build_implicit_workspace(grid, h_half, A, gamma_dt)
         N = [momentum_nonstiff(fs, G, grid, self.limiter)]
         S_u, S_eta = [momentum_stiff(fs, A, grid)], [free_surface_rhs(fs, grid)]
-        H = [density_rhs_flux(fs.rho_half, fs.u, fs.flux, h_half, grid)]
+        H = [density_rhs_flux(fs.rho_half, fs.flux, grid)]
         V = [vertical_density_term(state.rho, G, grid)]
         u_f, F, rho = fs.u, fs.flux, state.rho
 
@@ -385,17 +385,16 @@ class IMEXIntegrator:
             F = layer_flux(u_f, h_half, grid, t_s)
             carrier = ai[s, s] * u_f + ai[s, s - 1] * u_p
             carried = density_rhs_flux(upwind_interface(fs.rho_L, fs.rho_R, carrier),
-                                       carrier, ai[s, s] * F + ai[s, s - 1] * F_p,
-                                       h_half, grid)
+                                       ai[s, s] * F + ai[s, s - 1] * F_p, grid)
             rest = _combine([*zip(ai[s, :s - 1], H), *zip(a[s, :s], V)])
             rho = _density(lh_rho_n + dt * (carried + rest), eta, grid)
 
             self.n_rhs += 1
             fs = prepare_fields(State(eta, u, rho), grid, t_s, u_f)
-            G = mass_transfer(fs.u, fs.flux, fs.h_half, grid)
+            G = mass_transfer(fs.flux, grid)
             N.append(momentum_nonstiff(fs, G, grid, self.limiter))
-            G = mass_transfer(u_f, F, h_half, grid)  # at the frozen height
-            H.append(density_rhs_flux(fs.rho_half, u_f, F, h_half, grid))
+            G = mass_transfer(F, grid)  # at the frozen height
+            H.append(density_rhs_flux(fs.rho_half, F, grid))
             V.append(vertical_density_term(rho, G, grid))
 
         # b is the last implicit row: eta^{n+1} = eta3, and the implicit

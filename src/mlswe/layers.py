@@ -7,10 +7,11 @@ neighbouring interface with the larger layer count. Transitions must be
 conformal (one set of layers splits/merges exactly into the other) and two
 consecutive transitions are not allowed. At a transition cell one interface
 is coarser than the cell. `build_layout` builds the remap between the two
-layerings once, as flat index arrays per side; operators apply it by gathers:
-restriction (thickness-weighted mean of the cell's layers onto each coarse
-layer), prolongation (a cell layer copies its parent, times its own fraction
-for a flux) and injection of the transfer field G at coarse interfaces.
+layerings once, as flat index arrays per side, with each cell layer's share
+of its parent coarse layer; operators apply it by gathers: restriction
+(share-weighted mean of the cell's layers onto each coarse layer),
+prolongation (a cell layer takes its share of its parent's flux) and
+injection of the transfer field G at coarse interfaces.
 """
 
 from __future__ import annotations
@@ -35,33 +36,32 @@ class RemapSide:
     `parent[e]`, slot `slot[e]`. Slot s, per live layer of each coarse
     interface, is layer `slot_layer[s]` of the coarse interface of cell
     `slot_cell[s]`; its lowest entry is entry `first[s]`, layer
-    `slot_first[s]`. Both run by cell, then layer; `l_fine` and `l_coarse`
-    are their fractions."""
+    `slot_first[s]`. Both run by cell, then layer. `share[e]` is the entry's
+    fraction divided by its parent's: its part of the parent layer."""
 
     side: int
     layer: np.ndarray
     cell: np.ndarray
     parent: np.ndarray
-    l_fine: np.ndarray
+    share: np.ndarray
     slot: np.ndarray
     slot_layer: np.ndarray
     slot_cell: np.ndarray
     slot_first: np.ndarray
     first: np.ndarray
-    l_coarse: np.ndarray
 
     def at_coarse(self, a: np.ndarray) -> np.ndarray:
         """View of an (.., M+1) array whose column i is cell i's coarse interface."""
         return a[:, self.side:a.shape[1] - 1 + self.side]
 
     def restrict(self, values: np.ndarray) -> np.ndarray:
-        """Thickness-weighted mean of the entries' values per slot: the slot's
-        lowest value plus the mean deviation from it, summed in order, so that
-        a constant restricts to itself exactly."""
+        """Share-weighted mean of the entries' values per slot: the slot's
+        lowest value plus the weighted deviations from it, summed in order,
+        so that a constant restricts to itself exactly."""
         base = values[self.first]
-        deviation = self.l_fine * (values - base[self.slot])
+        deviation = self.share * (values - base[self.slot])
         return base + np.bincount(self.slot, weights=deviation,
-                                  minlength=self.l_coarse.size) / self.l_coarse
+                                  minlength=base.size)
 
 
 @dataclass(frozen=True)
@@ -140,11 +140,10 @@ def _remap_side(side, cells, n_half, l_half, n_int, l_int):
     start = np.cumsum(n_half[coarse]) - n_half[coarse]  # first slot of each cell
     slot = start[k] + parent[layer, k]
     first = np.searchsorted(slot, np.arange(slot_layer.size))
+    share = l_int[layer, cells[k]] / l_half[parent[layer, k], coarse[k]]
     return RemapSide(side=side, layer=layer, cell=cells[k], parent=parent[layer, k],
-                     l_fine=l_int[layer, cells[k]], slot=slot,
-                     slot_layer=slot_layer, slot_cell=cells[ks],
-                     slot_first=layer[first], first=first,
-                     l_coarse=l_half[slot_layer, coarse[ks]])
+                     share=share, slot=slot, slot_layer=slot_layer,
+                     slot_cell=cells[ks], slot_first=layer[first], first=first)
 
 
 def build_layout(mesh, regions) -> LayerLayout:

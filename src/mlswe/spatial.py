@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -73,7 +73,7 @@ class Grid:
     layout: LayerLayout
     params: PhysParams
     bounds: Boundaries = field(default_factory=closed)
-    h_min: float = H_MIN_DEFAULT
+    h_min: ClassVar[float] = H_MIN_DEFAULT  # a cell this deep or less is dry
 
     @cached_property
     def ends(self) -> tuple:
@@ -100,10 +100,19 @@ class Grid:
         return _read_only(self.b_g[1:] - self.b_g[:-1])
 
     @cached_property
+    def dx_half(self) -> np.ndarray:
+        """Read-only (M+1,) center-to-center spacing across each interface;
+        on a periodic grid both ends take the spacing across the wrap."""
+        dx_half = self.mesh.dx_half.copy()
+        if self.bounds.periodic:
+            dx_half[[0, -1]] = 0.5 * (self.mesh.dx[0] + self.mesh.dx[-1])
+        return _read_only(dx_half)
+
+    @cached_property
     def grad_factor(self) -> np.ndarray:
         """Read-only (M+1,) -g/dx_half: turns a jump of pressure head across
         an interface into an acceleration."""
-        return _read_only(-(self.params.g / self.mesh.dx_half))
+        return _read_only(-(self.params.g / self.dx_half))
 
     @cached_property
     def mid_depth(self) -> np.ndarray:
@@ -128,7 +137,7 @@ class Grid:
     @cached_property
     def l_dx_half(self) -> np.ndarray:
         """Read-only (n_max, M+1) divisor-safe l_half times dx_half."""
-        return _read_only(self.layout.l_half_safe * self.mesh.dx_half)
+        return _read_only(self.layout.l_half_safe * self.dx_half)
 
     @cached_property
     def inner_interfaces(self) -> np.ndarray:
@@ -138,26 +147,20 @@ class Grid:
         return _read_only(k < self.layout.n_int[None, :])
 
     @cached_property
-    def exchange_interfaces(self) -> np.ndarray:
-        """Read-only (n_max-1, M+1) mask of the layer interfaces k = 1..n_max-1
-        (row k-1) between two live layers at each velocity point."""
-        k = np.arange(1, self.layout.n_max)[:, None]
-        return _read_only(k < self.layout.n_half[None, :])
-
-    @cached_property
     def frac_below(self) -> np.ndarray:
         """Read-only (n_max-1, M+1) column fraction below each layer interface
         k = 1..n_max-1 (row k-1) at each velocity point."""
         return _read_only(np.cumsum(self.layout.l_half, axis=0)[:-1, :])
 
     @cached_property
-    def l_v(self) -> np.ndarray:
-        """Read-only (n_max-1, M+1) mean fraction of the two layers around each
-        interface k = 1..n_max-1 (row k-1): the spacing of the vertical
-        exchange, in column fractions (1 where not both layers are live)."""
+    def inv_l_v(self) -> np.ndarray:
+        """Read-only (n_max-1, M+1) inverse of the mean fraction of the two
+        layers around each interface k = 1..n_max-1 (row k-1), the spacing of
+        the vertical exchange; 0 unless both layers are live."""
         l = self.layout.l_half
-        return _read_only(np.where(self.exchange_interfaces,
-                                   0.5 * (l[:-1, :] + l[1:, :]), 1.0))
+        live = np.arange(1, self.layout.n_max)[:, None] < self.layout.n_half[None, :]
+        return _read_only(np.divide(2.0, l[:-1, :] + l[1:, :], where=live,
+                                    out=np.zeros(live.shape)))
 
     @cached_property
     def top_layer(self) -> tuple:
@@ -195,7 +198,7 @@ class Grid:
         remap = tuple((at(s.cell + 1 - s.side), at(s.slot_cell + s.side))
                       for s in self.layout.remap)
         left, right = at(jj - 1) >= 0, at(jj + 1) >= 0
-        inv_dx = 1.0 / self.mesh.dx_half[:n]
+        inv_dx = 1.0 / self.dx_half[:n]
         return AdvectionColumns(*map(_read_only, (
             left, right, np.where(left, inv_dx, 0.0), np.where(right, inv_dx, 0.0),
             np.where(no_corr_m, 0.0, 0.5), np.where(no_corr_p, 0.0, 0.5))), remap)
@@ -277,32 +280,31 @@ def boundary_values(state: State, grid: Grid, t: float, u_full=None):
 # interface scalars
 
 
-def interface_cell_scalars(rho_g, grid: Grid):
-    """Cell densities seen from each interface, in that interface's layering.
-
-    Returns (rho_L, rho_R), each (n_max, M+1). Away from layer-count
-    transitions these are the neighbours' values (views of rho_g on a
-    bounded grid without transitions); a coarse interface of a transition
-    cell sees the restriction of the cell's column.
-    """
-    rho_L, rho_R = rho_g[:, :-1], rho_g[:, 1:]
+def _seen_from_interfaces(a_g, grid: Grid, coarse):
+    """The cell columns of a_g ((rows, M+2), a ghost column at each end)
+    seen from each interface, as (left, right), each (rows, M+1). A coarse
+    interface of a transition cell sees `coarse(side)` instead, one value
+    per slot of the `RemapSide`; on a periodic grid interfaces 0 and M are
+    one. Views of a_g on a bounded grid without transitions."""
+    left, right = a_g[:, :-1], a_g[:, 1:]
     if grid.layout.remap or grid.bounds.periodic:  # rewritten below
-        rho_L, rho_R = rho_L.copy(), rho_R.copy()
-    rho = rho_g[:, 1:-1]
+        left, right = left.copy(), right.copy()
     for side in grid.layout.remap:
-        out = side.at_coarse((rho_R, rho_L)[side.side])
+        out = side.at_coarse((right, left)[side.side])
         out[:, side.cell] = 0.0
-        out[side.slot_layer, side.slot_cell] = side.restrict(rho[side.layer, side.cell])
-    _alias_periodic(rho_L, rho_R, grid)
-    return rho_L, rho_R
-
-
-def _alias_periodic(left, right, grid: Grid):
-    """On a periodic grid interface M is interface 0: the left-neighbour
-    values of both come from column M, the right-neighbour values from 0."""
+        out[side.slot_layer, side.slot_cell] = coarse(side)
     if grid.bounds.periodic:
         left[:, 0] = left[:, -1]
         right[:, -1] = right[:, 0]
+    return left, right
+
+
+def interface_cell_scalars(rho_g, grid: Grid):
+    """Cell densities seen from each interface, in its layering: (rho_L,
+    rho_R), each (n_max, M+1); a coarse interface of a transition cell sees
+    the restriction of the cell's column."""
+    return _seen_from_interfaces(
+        rho_g, grid, lambda side: side.restrict(rho_g[side.layer, side.cell + 1]))
 
 
 @dataclass
@@ -317,7 +319,6 @@ class FieldSet:
     rho_R: np.ndarray     # (n_max, M+1)
     rho_half: np.ndarray  # (n_max, M+1) upwind at velocity points
     flux: np.ndarray      # (n_max, M+1) per-layer mass flux l*h*u
-    F: np.ndarray         # (M+1,) column mass flux
 
 
 def prepare_fields(state: State, grid: Grid, t: float, u_full=None) -> FieldSet:
@@ -337,8 +338,7 @@ def prepare_fields(state: State, grid: Grid, t: float, u_full=None) -> FieldSet:
     rho_L, rho_R = interface_cell_scalars(rho_g, grid)
     return FieldSet(u=u_full, eta_g=eta_g, h_g=h_g, h_half=h_half,
                     rho_L=rho_L, rho_R=rho_R,
-                    rho_half=upwind_interface(rho_L, rho_R, u_full), flux=flux,
-                    F=np.sum(flux, axis=0))
+                    rho_half=upwind_interface(rho_L, rho_R, u_full), flux=flux)
 
 
 def layer_flux(u, h_half, grid: Grid, t: float) -> np.ndarray:
@@ -357,41 +357,39 @@ def layer_flux(u, h_half, grid: Grid, t: float) -> np.ndarray:
 
 def free_surface_rhs(fs: FieldSet, grid: Grid) -> np.ndarray:
     """d eta / dt: flux-form divergence of the column mass flux."""
-    return -(fs.F[1:] - fs.F[:-1]) / grid.mesh.dx
+    F = np.sum(fs.flux, axis=0)
+    return -(F[1:] - F[:-1]) / grid.mesh.dx
 
 
-def _cell_layer_flux(per_layer_iface, grid: Grid, h_half, *factors):
+def _cell_layer_flux(per_layer, grid: Grid):
     """Per-layer interface fluxes seen from each cell, in the cell layering.
 
-    per_layer_iface is (n_max, M+1) in interface layering, the product
-    l_half*h_half*factors; a transition cell reweights h_half*factors of
-    each parent layer at its coarse interface with its own fractions.
-    Returns (left, right) of shape (n_max, M), views of per_layer_iface
-    unless the layout has transitions.
+    per_layer is (n_max, M+1) in interface layering; at its coarse
+    interface a transition cell layer takes its share of its parent's flux.
+    Returns (left, right) of shape (n_max, M), views of per_layer unless
+    the layout has transitions.
     """
-    left, right = per_layer_iface[:, :-1], per_layer_iface[:, 1:]
+    left, right = per_layer[:, :-1], per_layer[:, 1:]
     if grid.layout.remap:  # rewritten below
         left, right = left.copy(), right.copy()
     for side in grid.layout.remap:
-        j = side.cell + side.side  # each entry's coarse interface
-        coarse = h_half[j]
-        for f in factors:
-            coarse = coarse * f[side.parent, j]
+        parent_flux = side.at_coarse(per_layer)[side.parent, side.cell]
         out = (left, right)[side.side]
         out[:, side.cell] = 0.0
-        out[side.layer, side.cell] = side.l_fine * coarse
+        out[side.layer, side.cell] = side.share * parent_flux
     return left, right
 
 
-def mass_transfer(u, flux, h_half, grid: Grid) -> np.ndarray:
+def mass_transfer(flux, grid: Grid) -> np.ndarray:
     """Mass-transfer field at the horizontal layer interfaces of each cell,
-    from the velocity u and the per-layer mass flux it carries at h_half.
+    from the per-layer mass flux at the interfaces (a field set's `flux`,
+    or a stage's at the frozen height).
 
     Returns G of shape (n_max+1, M) in m^2/s (undivided flux form); rows 0
     and n_int[i] are exactly zero and the per-cell telescoping sum vanishes
     by construction.
     """
-    left, right = _cell_layer_flux(flux, grid, h_half, u)
+    left, right = _cell_layer_flux(flux, grid)
     D = right - left
     term = D - grid.layout.l_int * np.sum(D, axis=0)
     G = np.zeros((grid.layout.n_max + 1, grid.mesh.M))
@@ -414,16 +412,16 @@ def density_interface_value(rho, G_inner) -> np.ndarray:
     return avg + 0.5 * np.sign(G_inner) * jump
 
 
-def density_rhs_flux(rho_up, carrier_u, flux, h_half, grid: Grid) -> np.ndarray:
+def density_rhs_flux(rho_up, flux, grid: Grid) -> np.ndarray:
     """Conservative horizontal flux divergence of l*h*rho*u per cell layer.
 
-    The interface densities rho_up, upwinded by carrier_u (a field set's
-    `rho_half` if the carrier is its `u`), ride on the per-layer mass flux
-    `flux` that carrier_u carries at height h_half: the flux of the
-    continuity update, so a constant density stays constant. Returns
-    (n_max, M), already divided by dx.
+    The interface densities rho_up, upwinded by the velocity that carries
+    the per-layer mass flux `flux` (a field set's `rho_half` with its
+    `flux`), ride on that flux: the flux of the continuity update, so a
+    constant density stays constant. Returns (n_max, M), already divided
+    by dx.
     """
-    left, right = _cell_layer_flux(flux * rho_up, grid, h_half, carrier_u, rho_up)
+    left, right = _cell_layer_flux(flux * rho_up, grid)
     return -(right - left) / grid.mesh.dx
 
 
@@ -507,15 +505,14 @@ def momentum_transfer_term(fs: FieldSet, G: np.ndarray, grid: Grid) -> np.ndarra
 
 def _transfer_at_velocity_points(G, grid: Grid):
     """Average the cell-centered transfer field to the velocity points,
-    remapping vertical-interface indices across layer-count transitions."""
-    GL = np.concatenate([G[:, :1], G], axis=1)   # the cell left of each
-    GR = np.concatenate([G, G[:, -1:]], axis=1)  # interface, or beside a wall
-    for side in grid.layout.remap:
-        # the cell's top interface G[n_int] is zero, as above each coarse column
-        out = side.at_coarse((GR, GL)[side.side])
-        out[:, side.cell] = 0.0
-        out[side.slot_layer, side.slot_cell] = G[side.slot_first, side.slot_cell]
-    _alias_periodic(GL, GR, grid)
+    remapping vertical-interface indices across layer-count transitions:
+    a coarse interface takes G at the cell interface below each of its
+    layers (the cell's top interface G[n_int] is zero, as above each
+    coarse column)."""
+    # an end interface sees its cell on both sides
+    G_g = np.concatenate([G[:, :1], G, G[:, -1:]], axis=1)
+    GL, GR = _seen_from_interfaces(
+        G_g, grid, lambda side: G[side.slot_first, side.slot_cell])
     return 0.5 * (GL + GR)
 
 
@@ -557,8 +554,7 @@ def viscous_coefficients(grid: Grid, h_half, u_ref) -> VerticalOperator | None:
     # lower[k] couples layer k to the one below it, upper[k] to the one above
     lower = np.zeros((n_max, Mp1))
     upper = np.zeros((n_max, Mp1))
-    lower[1:] = upper[:-1] = (np.where(grid.exchange_interfaces, nu, 0.0)
-                              / (grid.l_v * h_half))
+    lower[1:] = upper[:-1] = nu * grid.inv_l_v / h_half
     sub, sup = lower * inv_lh, upper * inv_lh
     # bottom drag couples the bottom layer to the bed, wind stress the top
     # layer to the wind
@@ -620,7 +616,7 @@ def momentum_nonstiff(fs: FieldSet, G, grid: Grid, limiter: bool) -> np.ndarray:
 
 def density_tendency(fs: FieldSet, G, rho, grid: Grid) -> np.ndarray:
     """Conservative density tendency d(rho*l*h)/dt per live cell layer."""
-    d_r = density_rhs_flux(fs.rho_half, fs.u, fs.flux, fs.h_half, grid) + (
+    d_r = density_rhs_flux(fs.rho_half, fs.flux, grid) + (
         vertical_density_term(rho, G, grid))
     return np.where(grid.layout.active_int(), d_r, 0.0)
 
@@ -629,7 +625,7 @@ def compute_tendencies(state: State, grid: Grid, t: float, *,
                        limiter: bool = False) -> Tendencies:
     """Full spatial right-hand side at (state, t)."""
     fs = prepare_fields(state, grid, t)
-    G = mass_transfer(fs.u, fs.flux, fs.h_half, grid)
+    G = mass_transfer(fs.flux, grid)
     A = viscous_coefficients(grid, fs.h_half, fs.u)
     return Tendencies(d_eta=free_surface_rhs(fs, grid),
                       d_u_stiff=momentum_stiff(fs, A, grid),

@@ -32,7 +32,7 @@ class State:
     def depth(self, mesh) -> np.ndarray:
         return self.eta - mesh.b
 
-    def validate(self, mesh, layout, h_min: float = H_MIN_DEFAULT) -> None:
+    def validate(self, mesh, layout) -> None:
         M = mesh.M
         n_max = layout.n_max
         if self.eta.shape != (M,) or self.rho.shape != (n_max, M):
@@ -42,7 +42,7 @@ class State:
         h = self.depth(mesh)
         if not np.all(np.isfinite(h)):
             raise DryStateError("non-finite free surface")
-        if np.any(h <= h_min):
+        if np.any(h <= H_MIN_DEFAULT):
             i = int(np.argmin(h))
             raise DryStateError(f"layer depth {h[i]:.3e} <= h_min at cell {i}")
 

@@ -7,6 +7,7 @@ from mlswe import (Boundaries, Discharge, Elevation, PhysParams, State, Wall,
                    build_layout, build_mesh, build_problem, case_tidal, closed,
                    compute_tendencies, periodic, rest_state, uniform_layout)
 from mlswe import spatial
+from mlswe.layers import refine_parent
 from mlswe.spatial import (Grid, baroclinic_gradient, boundary_values,
                            density_interface_value, mass_transfer, minmod,
                            momentum_advection, prepare_fields,
@@ -100,7 +101,7 @@ def test_mass_transfer_telescopes_and_caps():
     st.u[:] = 0.1 * rng.standard_normal(st.u.shape)
     st.u[:, -1] = st.u[:, 0]
     fs = prepare_fields(st, grid, 0.0)
-    G = mass_transfer(fs.u, fs.flux, fs.h_half, grid)
+    G = mass_transfer(fs.flux, grid)
     # bottom and surface rows are identically zero, columns telescope
     assert np.all(G[0, :] == 0.0)
     assert np.all(G[-1, :] == 0.0)
@@ -120,9 +121,66 @@ def test_mass_transfer_sign_two_layer_exchange():
     st.u[0, :] = -np.sin(2 * np.pi * x)   # converging at x=0.25 in layer 0
     st.u[1, :] = +np.sin(2 * np.pi * x)   # diverging above
     fs = prepare_fields(st, grid, 0.0)
-    G = mass_transfer(fs.u, fs.flux, fs.h_half, grid)
+    G = mass_transfer(fs.flux, grid)
     i = np.argmin(np.abs(grid.mesh.x_center - 0.25))
     assert G[1, i] < 0.0  # upward transfer
+
+
+def _prolonged_as_first_written(per_layer, grid, h_half, *factors):
+    """Reference for the per-layer fluxes seen from each cell: a transition
+    cell layer takes its own fraction times h_half and the factors of its
+    parent layer at the coarse interface; elsewhere the cell sees per_layer
+    (l_half * h_half * factors). Returns (left, right), each (n_max, M)."""
+    layout = grid.layout
+    left, right = per_layer[:, :-1].copy(), per_layer[:, 1:].copy()
+    for i in np.nonzero(layout.transition_cell)[0]:
+        j = i if layout.n_half[i] < layout.n_half[i + 1] else i + 1
+        n = layout.n_int[i]
+        parent = refine_parent(layout.l_half[:, j], layout.l_int[:, i])[:n]
+        coarse = h_half[j] * np.prod([f[parent, j] for f in factors], axis=0)
+        out = left if j == i else right
+        out[:, i] = 0.0
+        out[:n, i] = layout.l_int[:n, i] * coarse
+    return left, right
+
+
+def _remap_problem(name):
+    """(grid, state, t) with layer-count transitions: the perturbed tidal
+    layouts, both orientations of a closed basin, and periodic bands whose
+    coarse transition interface is the wrap (left of cell 0, right of cell
+    M-1)."""
+    if name.startswith("band"):
+        grid, state = _band_problem(int(name[4:]), 0.05)
+        return grid, state, 0.0
+    if name == "tidal_nvar1":  # a current, as the wave's node is the transition
+        grid, state = build_problem(case_tidal(layout="nvar1", M=40))
+        state = _perturb(grid, state, 0.5, 0.2, 0.01)
+        state.u = np.where(grid.layout.active_half(), state.u + 0.05, 0.0)
+        return grid, state, 3.0 * 3600.0
+    return reference_runs()[name][2:5]
+
+
+@pytest.mark.parametrize("name", ["tidal_nvar4", "tidal_nvar1", "basin_242",
+                                  "basin_424", "band1", "band29"])
+def test_remap_prolongs_as_first_written(name):
+    """mass_transfer and density_rhs_flux, which prolong the flux they are
+    given by each cell layer's share, equal the prolongation from the
+    velocity, the height and the density at the coarse interface."""
+    grid, state, t = _remap_problem(name)
+    layout = grid.layout
+    assert layout.remap
+    fs = prepare_fields(state, grid, t)
+    left, right = _prolonged_as_first_written(fs.flux, grid, fs.h_half, fs.u)
+    D = right - left
+    G = np.zeros((layout.n_max + 1, grid.mesh.M))
+    G[1:] = np.where(grid.inner_interfaces,
+                     np.cumsum(D - layout.l_int * np.sum(D, axis=0), axis=0), 0.0)
+    left, right = _prolonged_as_first_written(fs.flux * fs.rho_half, grid, fs.h_half,
+                                              fs.u, fs.rho_half)
+    d_r = -(right - left) / grid.mesh.dx
+    for got, want in ((mass_transfer(fs.flux, grid), G),
+                      (spatial.density_rhs_flux(fs.rho_half, fs.flux, grid), d_r)):
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_density_interface_upwind_direction():
@@ -373,10 +431,17 @@ def test_dry_state_raises():
 # periodic layer-count transitions
 
 
-def _band_problem(start, current, M=40, width=11):
+def _band_problem(start, current, M=40, width=11, graded=False):
     """Periodic [0, 1] with 2 layers and a 4-layer band on interfaces
-    start .. start+width-1 (mod M); smooth waves on a uniform current."""
-    mesh = build_mesh(0.0, 1.0, M)
+    start .. start+width-1 (mod M); smooth waves on a uniform current. A
+    graded mesh has cell widths proportional to 1 + sin(2 pi i / M) / 2,
+    with i counted from the band's first cell, so they move with it."""
+    if graded:
+        width_of = 1.0 + 0.5 * np.sin(2 * np.pi * ((np.arange(M) - start) % M) / M)
+        x = np.concatenate([[0.0], np.cumsum(width_of)])
+        mesh = build_mesh(0.0, 1.0, x_iface=x / x[-1])
+    else:
+        mesh = build_mesh(0.0, 1.0, M)
     fine = np.isin(np.arange(M + 1) % M, (start + np.arange(width)) % M)
     table = {False: [0.5, 0.5], True: [0.25] * 4}
     regions = [(mesh.x_iface[j] + 0.5 / M, table[fine[j]])
@@ -402,26 +467,28 @@ def _band_problem(start, current, M=40, width=11):
 def test_periodic_transition_is_independent_of_the_cut(start, current):
     """A band whose transition cells sit at the ends of the cell range
     (cell 0 or M-1, either side coarse) evolves like the same band inside
-    the domain, shifted."""
+    the domain, shifted, on a uniform mesh and on a graded one that moves
+    with the band."""
     from mlswe import IMEXIntegrator
 
-    def run(s):
-        grid, st = _band_problem(s, current)
+    def run(s, graded):
+        grid, st = _band_problem(s, current, graded=graded)
         integ = IMEXIntegrator(grid)
         for n in range(20):
             st = integ.step(st, n * 0.002, 0.002)
         return grid, st
 
-    grid, ref = run(10)
-    grid_s, got = run(start)
-    M, shift = grid.mesh.M, start - 10
-    trans = np.nonzero(grid_s.layout.transition_cell)[0]
-    assert {0, M - 1} & set(trans.tolist())
-    assert np.array_equal(grid_s.layout.n_int, np.roll(grid.layout.n_int, shift))
-    err = max(np.max(np.abs(np.roll(ref.eta, shift) - got.eta)),
-              np.max(np.abs(np.roll(ref.u[:, :M], shift, axis=1) - got.u[:, :M])),
-              np.max(np.abs(np.roll(ref.rho, shift, axis=1) - got.rho)))
-    assert err <= 1e-12
+    for graded in (False, True):
+        grid, ref = run(10, graded)
+        grid_s, got = run(start, graded)
+        M, shift = grid.mesh.M, start - 10
+        trans = np.nonzero(grid_s.layout.transition_cell)[0]
+        assert {0, M - 1} & set(trans.tolist())
+        assert np.array_equal(grid_s.layout.n_int, np.roll(grid.layout.n_int, shift))
+        err = max(np.max(np.abs(np.roll(ref.eta, shift) - got.eta)),
+                  np.max(np.abs(np.roll(ref.u[:, :M], shift, axis=1) - got.u[:, :M])),
+                  np.max(np.abs(np.roll(ref.rho, shift, axis=1) - got.rho)))
+        assert err <= 1e-12, f"graded={graded}: {err:.3g}"
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +573,7 @@ def test_operators_keep_their_contract(name):
     half, cell, evolved = layout.active_half(), layout.active_int(), grid.evolved_u
     inner = np.vstack([np.zeros((1, grid.mesh.M), dtype=bool), grid.inner_interfaces])
     fs = prepare_fields(state, grid, t)
-    G = spatial.mass_transfer(fs.u, fs.flux, fs.h_half, grid)
+    G = spatial.mass_transfer(fs.flux, grid)
     coeffs = viscous_coefficients(grid, fs.h_half, fs.u)
     rho_g = boundary_values(state, grid, t)[2]
     carrier = 0.3 * fs.u
@@ -527,14 +594,13 @@ def test_operators_keep_their_contract(name):
             lambda: spatial.interface_cell_scalars(rho_g, grid), [half, half]),
         "layer_flux": (lambda: spatial.layer_flux(fs.u, fs.h_half, grid, t), [half]),
         "mass_transfer": (
-            lambda: spatial.mass_transfer(fs.u, fs.flux, fs.h_half, grid), [inner]),
+            lambda: spatial.mass_transfer(fs.flux, grid), [inner]),
         "density_rhs_flux": (
-            lambda: spatial.density_rhs_flux(fs.rho_half, fs.u, fs.flux, fs.h_half, grid),
+            lambda: spatial.density_rhs_flux(fs.rho_half, fs.flux, grid),
             [cell]),
         "density_rhs_flux carried": (
             lambda: spatial.density_rhs_flux(
-                upwind_interface(fs.rho_L, fs.rho_R, carrier), carrier, 0.3 * fs.flux,
-                fs.h_half, grid),
+                upwind_interface(fs.rho_L, fs.rho_R, carrier), 0.3 * fs.flux, grid),
             [cell]),
         "vertical_density_term": (
             lambda: spatial.vertical_density_term(state.rho, G, grid), [cell]),
@@ -573,7 +639,7 @@ def test_grid_static_data_is_read_only():
     cols = grid.advection_columns
     static = [grid.b_g, grid.db, grid.grad_factor, grid.mid_depth, grid.l_dx_half,
               grid.sum_below, grid.sum_above, grid.inner_interfaces, grid.evolved_u,
-              grid.exchange_interfaces, grid.frac_below, grid.l_v, *grid.top_layer,
+              grid.dx_half, grid.frac_below, grid.inv_l_v, *grid.top_layer,
               *(getattr(cols, f) for f in cols._fields if f != "remap")]
     for a in static:
         assert not a.flags.writeable

@@ -128,7 +128,7 @@ def _rhs_term_by_term(state, grid, t, limiter):
     """(d_eta, d_u_stiff, d_u_nonstiff, d_r) assembled from the individual
     operators, as compute_tendencies did before the split (reference)."""
     fs = prepare_fields(state, grid, t)
-    G = mass_transfer(fs.u, fs.flux, fs.h_half, grid)
+    G = mass_transfer(fs.flux, grid)
     coeffs = viscous_coefficients(grid, fs.h_half, fs.u)
     evolved = np.ones(grid.mesh.M + 1, dtype=bool)
     if grid.bounds.periodic:
@@ -144,7 +144,7 @@ def _rhs_term_by_term(state, grid, t, limiter):
                 + momentum_transfer_term(fs, G, grid) + baroclinic_gradient(fs, grid))
     rho_up = np.where(grid.layout.active_half(),
                       upwind_interface(fs.rho_L, fs.rho_R, fs.u), 0.0)
-    d_r = (density_rhs_flux(rho_up, fs.u, fs.flux, fs.h_half, grid)
+    d_r = (density_rhs_flux(rho_up, fs.flux, grid)
            + vertical_density_term(state.rho, G, grid))
     return (free_surface_rhs(fs, grid), np.where(mask, stiff, 0.0),
             np.where(mask, nonstiff, 0.0),
@@ -156,7 +156,7 @@ def test_compute_tendencies_is_the_sum_of_its_pieces(name):
     _, limiter, grid, state, t, _, _ = reference_runs()[name]
     tend = m.compute_tendencies(state, grid, t, limiter=limiter)
     fs = prepare_fields(state, grid, t)
-    G = mass_transfer(fs.u, fs.flux, fs.h_half, grid)
+    G = mass_transfer(fs.flux, grid)
     coeffs = viscous_coefficients(grid, fs.h_half, fs.u)
     stiff = momentum_stiff(fs, coeffs, grid)
     nonstiff = momentum_nonstiff(fs, G, grid, limiter)
