@@ -90,7 +90,7 @@ def run_case(spec: CaseSpec, grid: Grid | None = None,
         except (StepFailure, DryStateError):
             report.verdict = "unstable"
             break
-        if np.max(np.abs(new_state.u)) > _U_BLOWUP:
+        if np.abs(new_state.u).max() > _U_BLOWUP:
             report.verdict = "unstable"
             break
         state = new_state

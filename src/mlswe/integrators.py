@@ -117,11 +117,11 @@ def courant_numbers(state: State, grid: Grid, dt: float):
     layout, mesh, g = grid.layout, grid.mesh, grid.params.g
     h = np.maximum(state.eta - mesh.b, 0.0)
     u_c = 0.5 * (state.u[:, :-1] + state.u[:, 1:])
-    ubar = np.abs(np.sum(layout.l_int * u_c, axis=0))
-    rhobar = np.sum(layout.l_int * state.rho, axis=0)
-    c_cel = np.max((ubar + np.sqrt(np.maximum(1.0 + rhobar, 0.0) * g * h)) * dt / mesh.dx)
-    c_vel = np.max((ubar + np.sqrt(np.maximum(rhobar, 0.0) * g * h)) * dt / mesh.dx)
-    return float(c_cel), float(c_vel)
+    ubar = np.abs((layout.l_int * u_c).sum(axis=0))
+    rhobar = (layout.l_int * state.rho).sum(axis=0)
+    c_cel = (ubar + np.sqrt(np.maximum(1.0 + rhobar, 0.0) * g * h)) * dt / mesh.dx
+    c_vel = (ubar + np.sqrt(np.maximum(rhobar, 0.0) * g * h)) * dt / mesh.dx
+    return float(c_cel.max()), float(c_vel.max())
 
 
 def courant_dt(c: float, target: float, dt_max: float = np.inf) -> float:
@@ -135,7 +135,7 @@ def courant_dt(c: float, target: float, dt_max: float = np.inf) -> float:
 def _check_state(state: State, grid: Grid) -> State:
     if not state.all_finite():
         raise StepFailure("non-finite field value")
-    if np.any(state.eta - grid.mesh.b <= grid.h_min):
+    if (state.eta - grid.mesh.b <= grid.h_min).any():
         raise StepFailure("water depth below h_min")
     return state
 
@@ -241,7 +241,7 @@ def build_implicit_workspace(grid: Grid, h_half, A: VerticalOperator | None,
 
     # free surface: column flux K + W * (jump of eta) at each interface; an
     # end of prescribed discharge fixes it to its flux, free of eta
-    W = h_half * np.sum(layout.l_half * w_hat, axis=0)
+    W = h_half * (layout.l_half * w_hat).sum(axis=0)
     for end in grid.discharge_ends:
         W[end.iface] = 0.0
     periodic = grid.bounds.periodic
@@ -288,13 +288,13 @@ def implicit_stage_solve(grid: Grid, ws: ImplicitWorkspace,
     fac, W = ws.fac, ws.W
     periodic = grid.bounds.periodic
 
-    # the padded layers stay decoupled in the solve and carry no flux; the
-    # returned velocities are masked below
+    # the padded layers, zero in u_expl, stay decoupled in the solve, carry
+    # no flux and come out zero
     u_hat = u_expl if ws.A is None else _thomas(ws.vertical,
                                                 u_expl + ws.gamma_dt * ws.A.k)
 
     # the stage's column flux, prescribed at the discharge ends
-    K = np.sum(layer_flux(u_hat, ws.h_half, grid, t_stage), axis=0)
+    K = layer_flux(u_hat, ws.h_half, grid, t_stage).sum(axis=0)
     if periodic:
         K[M] = K[0]
     rhs = eta_expl - fac * (K[1:] - K[:M])
@@ -308,8 +308,9 @@ def implicit_stage_solve(grid: Grid, ws: ImplicitWorkspace,
         eta = eta - ws.z * ((eta[0] + ws.r * eta[-1]) / (1.0 + ws.v_z))
 
     # back-substitute the velocities
-    u = u_hat - np.diff(ghost_elevation(eta, grid, t_stage))[None, :] * ws.w_hat
-    u = np.where(grid.evolved_u, u, 0.0)
+    eta_g = ghost_elevation(eta, grid, t_stage)
+    u = u_hat - (eta_g[1:] - eta_g[:-1]) * ws.w_hat
+    u[:, grid.fixed_u_columns] = 0.0
     if periodic:
         u[:, M] = u[:, 0]
     return eta, u
@@ -371,7 +372,7 @@ class IMEXIntegrator:
             u_e = state.u + dt * _combine([*zip(a[s, :s], N), *zip(ai[s, :s], S_u)])
             eta, u = implicit_stage_solve(grid, ws, eta_e, u_e, t_s)
             self.n_implicit += 1
-            if np.any(eta - grid.mesh.b <= grid.h_min) or not np.all(np.isfinite(eta)):
+            if (eta - grid.mesh.b <= grid.h_min).any() or not np.isfinite(eta).all():
                 raise StepFailure("implicit stage produced a dry or non-finite state")
             if s == 1:  # stage 3 reads stage 2's stiff tendency; none reads stage 3's
                 S_u.append((u - u_e) / gamma_dt)

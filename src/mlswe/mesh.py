@@ -14,8 +14,9 @@ class Mesh1D:
     Cell centers x_center[i] sit between interfaces x_iface[i] and
     x_iface[i+1]; velocities live on the interfaces. dx_half[j] is the
     center-to-center distance across interior interface j (j = 1..M-1);
-    boundary entries are padded with the adjacent cell width so that
-    momentum formulas stay well defined at open boundaries.
+    each end entry is the adjacent cell width, which keeps momentum formulas
+    defined at open boundaries but is not the spacing across a periodic
+    wrap: the operators read `spatial.Grid.dx_half`, which is.
     """
 
     x_iface: np.ndarray   # (M+1,)

@@ -8,12 +8,15 @@ vertical viscosity), the non-stiff one (momentum advection, transfer terms,
 baroclinic pressure terms), the mass-flux divergence and the density term.
 `compute_tendencies` composes all of them.
 
-The operators rely on zero padding: the layer fractions `l_half`/`l_int`
-are zero above the live layers, and so are the state's u and rho, the
-interface densities and every per-layer flux built from them. A product
-with a fraction or a flux is therefore already zero off the live layers and
-needs no mask. Data that depends on the grid alone (masks, prefix sums of
-the fractions, metric factors) is built once, read-only, as a cached
+The operators rely on zero padding: the layer fractions `l_half`/`l_int` are
+zero above the live layers, and so are the state's u and rho, the interface
+densities and every per-layer flux built from them. A product with a
+fraction or a flux is therefore already zero off the live layers and needs
+no mask. The tendencies rest on this: the momentum ones only zero the
+columns that are not prognostic (`Grid.fixed_u_columns`), the density one is
+not masked, and the one full mask left is `barotropic_gradient`'s, whose
+(M+1) row is not padded. Data that depends on the grid alone (masks, prefix
+sums of the fractions, metric factors) is built once, read-only, as a cached
 property of `Grid`; the operators never write into their inputs.
 """
 
@@ -40,15 +43,15 @@ class AdvectionColumns(NamedTuple):
     """Per column of `momentum_advection` (the M+1 interfaces; the M unique
     ones, wrapping, if periodic)."""
 
-    left: np.ndarray             # a left neighbour exists
-    right: np.ndarray            # a right neighbour exists
-    inv_dx_left: np.ndarray      # 1/dx_half with a left neighbour, else 0
-    inv_dx_right: np.ndarray     # 1/dx_half with a right neighbour, else 0
-    half_corr_left: np.ndarray   # 1/2 where the upstream-left (right)
-    half_corr_right: np.ndarray  # curvature correction applies, else 0
-                                 # (first order next to a transition or an end)
-    remap: tuple                 # per remap side the columns of its entries'
-                                 # fine interfaces and of its slots' coarse ones
+    inv_dx: np.ndarray          # (2, n) 1/dx_half with a left (row 0) and a
+                                # right (row 1) neighbour, else 0
+    half_corr: np.ndarray       # (2, n) 1/2 (-1/2) where the upstream-left
+                                # (right) curvature correction applies, else 0
+                                # (first order next to a transition or an end)
+    unlimited: np.ndarray       # minmod columns that an end column reads
+    unlimited_from: np.ndarray  # unlimited: these columns of the curvature
+    remap: tuple                # per remap side its fine and coarse columns,
+                                # and where each entry's and slot's cell is in them
 
 
 class End(NamedTuple):
@@ -170,16 +173,21 @@ class Grid:
                 _read_only(np.arange(self.mesh.M + 1)))
 
     @cached_property
+    def fixed_u_columns(self) -> np.ndarray:
+        """Read-only index array of the velocity columns that are not
+        prognostic: the ends of prescribed discharge (walls included) and,
+        if periodic, the alias M of column 0."""
+        fixed = [end.iface for end in self.discharge_ends] + [self.mesh.M] * (
+            self.bounds.periodic)
+        return _read_only(np.array(fixed, dtype=np.intp))
+
+    @cached_property
     def evolved_u(self) -> np.ndarray:
         """Read-only (n_max, M+1) mask of the prognostic velocities: live
-        layers at every interface except the periodic alias and the ends of
-        prescribed discharge (walls included)."""
-        evolved = np.ones(self.mesh.M + 1, dtype=bool)
-        for end in self.discharge_ends:
-            evolved[end.iface] = False
-        if self.bounds.periodic:
-            evolved[-1] = False  # alias of column 0
-        return _read_only(evolved[None, :] & self.layout.active_half())
+        layers off the `fixed_u_columns`."""
+        evolved = self.layout.active_half().copy()
+        evolved[:, self.fixed_u_columns] = False
+        return _read_only(evolved)
 
     @cached_property
     def advection_columns(self) -> AdvectionColumns:
@@ -195,13 +203,20 @@ class Grid:
         first_only = np.isin(jj, at(trans)) | np.isin(jj, at(trans + 1))
         no_corr_m = first_only | (at(jj - 2) < 0) | np.isin(jj, at(trans + 2))
         no_corr_p = first_only | (at(jj + 2) < 0) | np.isin(jj, at(trans - 1))
-        remap = tuple((at(s.cell + 1 - s.side), at(s.slot_cell + s.side))
-                      for s in self.layout.remap)
+        remap = tuple(tuple(map(_read_only, (
+            at(c + 1 - s.side), at(c + s.side), np.searchsorted(c, s.cell),
+            np.searchsorted(c, s.slot_cell)))) for s in self.layout.remap
+            for c in [np.flatnonzero(np.bincount(s.cell))])  # its cells, sorted
         left, right = at(jj - 1) >= 0, at(jj + 1) >= 0
-        inv_dx = 1.0 / self.dx_half[:n]
+        # column j's upstream-left correction is minmod column j, its right
+        # one column j+1; where an end column reads its own, the column that
+        # shares it (1 or n-2) has no correction, so it may be unlimited.
+        no_right, no_left = np.nonzero(~right)[0], np.nonzero(~left)[0]
         return AdvectionColumns(*map(_read_only, (
-            left, right, np.where(left, inv_dx, 0.0), np.where(right, inv_dx, 0.0),
-            np.where(no_corr_m, 0.0, 0.5), np.where(no_corr_p, 0.0, 0.5))), remap)
+            np.where([left, right], 1.0 / self.dx_half[:n], 0.0),
+            np.where([no_corr_m, no_corr_p], 0.0, [[0.5], [-0.5]]),
+            np.concatenate([no_right, no_left + 1]),
+            np.concatenate([no_right, no_left + 2]))), remap)
 
     def __post_init__(self):
         """Reject boundary input that does not fit the layout."""
@@ -228,8 +243,10 @@ def upwind_interface(left, right, carrier):
     return 0.5 * ((left + right) - np.sign(carrier) * (right - left))
 
 
-def minmod(a, b):
-    return 0.5 * (np.sign(a) + np.sign(b)) * np.minimum(np.abs(a), np.abs(b))
+def minmod(x):
+    """minmod of each adjacent pair along the last axis of x."""
+    s, m = np.sign(x), np.abs(x)
+    return 0.5 * (s[..., :-1] + s[..., 1:]) * np.minimum(m[..., :-1], m[..., 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +345,10 @@ def prepare_fields(state: State, grid: Grid, t: float, u_full=None) -> FieldSet:
     u_full, eta_g, rho_g, b_g = boundary_values(state, grid, t, u_full)
 
     h_g = eta_g - b_g
-    if np.any(h_g[1:-1] <= grid.h_min):
+    if (h_g[1:-1] <= grid.h_min).any():
         raise DryStateError("water depth below h_min")
 
-    ubar = np.sum(layout.l_half * u_full, axis=0)
+    ubar = (layout.l_half * u_full).sum(axis=0)
     h_half = upwind_interface(h_g[:-1], h_g[1:], ubar)
     flux = layer_flux(u_full, h_half, grid, t)
 
@@ -357,7 +374,7 @@ def layer_flux(u, h_half, grid: Grid, t: float) -> np.ndarray:
 
 def free_surface_rhs(fs: FieldSet, grid: Grid) -> np.ndarray:
     """d eta / dt: flux-form divergence of the column mass flux."""
-    F = np.sum(fs.flux, axis=0)
+    F = fs.flux.sum(axis=0)
     return -(F[1:] - F[:-1]) / grid.mesh.dx
 
 
@@ -391,7 +408,7 @@ def mass_transfer(flux, grid: Grid) -> np.ndarray:
     """
     left, right = _cell_layer_flux(flux, grid)
     D = right - left
-    term = D - grid.layout.l_int * np.sum(D, axis=0)
+    term = D - grid.layout.l_int * D.sum(axis=0)
     G = np.zeros((grid.layout.n_max + 1, grid.mesh.M))
     # the surface entry and those above it are zero, not the round-off of
     # the telescoped sum
@@ -422,61 +439,63 @@ def density_rhs_flux(rho_up, flux, grid: Grid) -> np.ndarray:
     by dx.
     """
     left, right = _cell_layer_flux(flux * rho_up, grid)
-    return -(right - left) / grid.mesh.dx
+    d_r = left - right
+    return np.divide(d_r, grid.mesh.dx, out=d_r)
 
 
 def vertical_density_term(rho_stage, G, grid: Grid) -> np.ndarray:
     """Vertical exchange term of the density equation, divided by dx."""
     n_max = grid.layout.n_max
     rho_v = density_interface_value(rho_stage, G[1:n_max, :])
-    rg = np.zeros_like(G)
-    rg[1:n_max, :] = rho_v * G[1:n_max, :]
-    return (rg[1:, :] - rg[:-1, :]) / grid.mesh.dx
+    # layer k: the flux rho_v G through interface k+1 less that through k
+    out = np.zeros(rho_stage.shape)
+    np.multiply(rho_v, G[1:n_max, :], out=out[:-1])
+    out[1:] -= out[:-1]
+    return np.divide(out, grid.mesh.dx, out=out)
 
 
 # ---------------------------------------------------------------------------
 # momentum terms
 
 
+def _slope(diff, half_corr, corr, inv_dx):
+    """An upstream slope, corrected by the signed half of a curvature."""
+    return (diff + half_corr * corr) * inv_dx
+
+
 def momentum_advection(fs: FieldSet, grid: Grid, limiter: bool) -> np.ndarray:
     """u * du/dx at the velocity points, upstream-biased second order with an
     optional minmod blend toward first-order upwind."""
-    layout, u = grid.layout, fs.u
-    cols = grid.advection_columns
-    n = cols.left.size
-    ends = ((u[:, n - 2:n], u[:, :2]) if n == grid.mesh.M  # periodic: wrap
-            else (np.zeros((layout.n_max, 2)),) * 2)
-    u_pad = np.hstack([ends[0], u[:, :n], ends[1]])
-    um2, um1, ucol, up1, up2 = (u_pad[:, k:k + n] for k in range(5))
-    if layout.remap:  # rewritten below
-        um1, up1 = um1.copy(), up1.copy()
-    for side, (fine, coarse) in zip(layout.remap, cols.remap):
-        # neighbours across a transition cell, each in the other's layering
-        toward_coarse, toward_fine = (um1, up1) if side.side == 0 else (up1, um1)
-        toward_coarse[:, fine] = 0.0
-        toward_coarse[side.layer, fine] = side.at_coarse(u)[side.parent, side.cell]
-        toward_fine[:, coarse] = 0.0
-        toward_fine[side.slot_layer, coarse] = side.restrict(u[side.layer, fine])
-
-    d1 = ucol - um1          # backward difference
-    d0 = um1 - um2
-    e1 = up1 - ucol          # forward difference
-    e2 = up2 - up1
-
-    # u > 0: upstream on the left
-    corr_m = d1 - d0
+    u, cols, n_max = fs.u, grid.advection_columns, grid.layout.n_max
+    n = cols.inv_dx.shape[1]
+    pad = np.zeros((n_max, n + 4))  # two zero columns past each end
+    pad[:, 2:-2] = u[:, :n]
+    if n == grid.mesh.M:  # periodic: wrap
+        pad[:, :2], pad[:, -2:] = u[:, n - 2:n], u[:, :2]
+    D = pad[:, 1:] - pad[:, :-1]
+    DD = D[:, 1:] - D[:, :-1]
+    ucol, d1, e1 = pad[:, 2:-2], D[:, 1:-2], D[:, 2:-1]  # d1, e1: backward, forward
     if limiter:
-        corr_m = np.where(cols.right, minmod(corr_m, e1 - d1), corr_m)
-    s_pos = (d1 + cols.half_corr_left * corr_m) * cols.inv_dx_left
-
-    # u < 0: upstream on the right
-    corr_p = e1 - e2
-    if limiter:
-        corr_p = np.where(cols.left, minmod(corr_p, d1 - e1), corr_p)
-    s_neg = (e1 + cols.half_corr_right * corr_p) * cols.inv_dx_right
-
-    # u == 0 takes s_neg, and gives 0 all the same
-    adv = ucol * np.where(ucol > 0.0, s_pos, s_neg)
+        lim = minmod(DD)
+        lim[:, cols.unlimited] = DD[:, cols.unlimited_from]
+        corr = lim[:, :-1], lim[:, 1:]
+    else:
+        corr = DD[:, :-2], DD[:, 2:]  # d1 - d0 and e2 - e1
+    # upstream on the left (k = 0, for u > 0) and on the right (k = 1)
+    s = [_slope(diff, cols.half_corr[k], corr[k], cols.inv_dx[k])
+         for k, diff in enumerate((d1, e1))]
+    for side, (fine, coarse, entry, slot) in zip(grid.layout.remap, cols.remap):
+        # the neighbour across a transition cell, in the column's layering
+        across = np.zeros((2, n_max, fine.size))  # at the fine, coarse columns
+        across[0][side.layer, entry] = u[side.parent, side.cell + side.side]
+        across[1][side.slot_layer, slot] = side.restrict(
+            u[side.layer, side.cell + 1 - side.side])
+        for j, nb, k in zip((fine, coarse), across, (side.side, 1 - side.side)):
+            diff = ucol[:, j] - nb if k == 0 else nb - ucol[:, j]
+            s[k][:, j] = _slope(diff, cols.half_corr[k, j], corr[k][:, j],
+                                cols.inv_dx[k, j])
+    # u == 0 takes the upstream-right slope, and gives 0 all the same
+    adv = ucol * np.where(ucol > 0.0, *s)
     if n == grid.mesh.M:  # periodic: the alias column M repeats column 0
         adv = np.concatenate([adv, adv[:, :1]], axis=1)
     return adv
@@ -601,24 +620,26 @@ def momentum_stiff(fs: FieldSet, A: VerticalOperator | None, grid: Grid) -> np.n
     prognostic velocities."""
     d_u = barotropic_gradient(fs, grid)
     if A is not None:
-        d_u += np.where(grid.evolved_u, viscous_exchange(fs.u, A), 0.0)
+        exchange = viscous_exchange(fs.u, A)  # zero off the live layers
+        exchange[:, grid.fixed_u_columns] = 0.0
+        d_u += exchange
     return d_u
 
 
 def momentum_nonstiff(fs: FieldSet, G, grid: Grid, limiter: bool) -> np.ndarray:
     """Non-stiff momentum tendency: advection, transfer and baroclinic
     pressure terms, zero off the prognostic velocities."""
-    adv = momentum_advection(fs, grid, limiter)
-    d_u = (-adv + momentum_transfer_term(fs, G, grid)
-           + baroclinic_gradient(fs, grid))
-    return np.where(grid.evolved_u, d_u, 0.0)
+    d_u = momentum_transfer_term(fs, G, grid)  # all zero off the live layers
+    d_u -= momentum_advection(fs, grid, limiter)
+    d_u += baroclinic_gradient(fs, grid)
+    d_u[:, grid.fixed_u_columns] = 0.0
+    return d_u
 
 
 def density_tendency(fs: FieldSet, G, rho, grid: Grid) -> np.ndarray:
     """Conservative density tendency d(rho*l*h)/dt per live cell layer."""
-    d_r = density_rhs_flux(fs.rho_half, fs.flux, grid) + (
+    return density_rhs_flux(fs.rho_half, fs.flux, grid) + (
         vertical_density_term(rho, G, grid))
-    return np.where(grid.layout.active_int(), d_r, 0.0)
 
 
 def compute_tendencies(state: State, grid: Grid, t: float, *,

@@ -47,11 +47,8 @@ class State:
             raise DryStateError(f"layer depth {h[i]:.3e} <= h_min at cell {i}")
 
     def all_finite(self) -> bool:
-        return bool(
-            np.all(np.isfinite(self.eta))
-            and np.all(np.isfinite(self.u))
-            and np.all(np.isfinite(self.rho))
-        )
+        return bool(np.isfinite(self.eta).all() and np.isfinite(self.u).all()
+                    and np.isfinite(self.rho).all())
 
 
 def rest_state(mesh, layout, eta0=0.0) -> State:

@@ -169,6 +169,26 @@ def test_stage_solves_share_one_workspace(bounds):
     assert np.array_equal(eta, fresh[0]) and np.array_equal(u, fresh[1])
 
 
+@pytest.mark.parametrize("name", sorted(n for n in reference_runs() if not n.endswith("_rk3")))
+def test_stage_velocities_are_zero_off_the_evolved_ones(name):
+    """With no mask applied, the stage solve returns exact zeros in the
+    padded layers and at the walls and discharge ends, even from an explicit
+    velocity that is not zero there; the periodic alias repeats column 0."""
+    _, _, grid, state, t, dt, _ = reference_runs()[name]
+    fs = prepare_fields(state, grid, t)
+    A = viscous_coefficients(grid, fs.h_half, fs.u)
+    ws = build_implicit_workspace(grid, fs.h_half, A, dt * m.ark2_tableau().a_im[1, 1])
+    u_e = np.where(grid.layout.active_half(),
+                   fs.u + np.random.default_rng(5).standard_normal(fs.u.shape), 0.0)
+    eta, u = implicit_stage_solve(grid, ws, state.eta, u_e, t)
+    off = ~grid.evolved_u
+    if grid.bounds.periodic:
+        assert np.array_equal(u[:, -1], u[:, 0])
+        off[:, -1] = False
+    assert grid.fixed_u_columns.size and np.all(u[off] == 0.0)
+    assert not np.any(np.signbit(u[off]))
+
+
 @pytest.mark.parametrize("name", ["tidal_nvar4", "basin_424", "periodic_viscous"])
 def test_column_matrix_is_one_minus_gamma_dt_A(name):
     """The workspace's eliminated column matrix, multiplied back out (L U,

@@ -42,8 +42,9 @@ def test_upwind_interface_selection_and_tie():
 def test_minmod_properties():
     a = np.array([1.0, -1.0, 2.0, -3.0, 0.0])
     b = np.array([2.0, -0.5, -1.0, -3.0, 5.0])
-    out = minmod(a, b)
+    out = minmod(np.stack([a, b], axis=-1))[:, 0]
     assert out.tolist() == [1.0, -0.5, 0.0, -3.0, 0.0]
+    assert minmod(np.array([1.0, 2.0, -1.0, -3.0, -2.0])).tolist() == [1.0, 0.0, -1.0, -2.0]
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +146,10 @@ def _prolonged_as_first_written(per_layer, grid, h_half, *factors):
 
 
 def _remap_problem(name):
-    """(grid, state, t) with layer-count transitions: the perturbed tidal
-    layouts, both orientations of a closed basin, and periodic bands whose
-    coarse transition interface is the wrap (left of cell 0, right of cell
-    M-1)."""
+    """(grid, state, t) of a step-reference run by name, of the perturbed
+    tidal nvar1 layout with a current, or of the periodic 4-layer band
+    that starts at interface N (`bandN`); bands 1 and 29 have a coarse
+    transition interface at the wrap (left of cell 0, right of cell M-1)."""
     if name.startswith("band"):
         grid, state = _band_problem(int(name[4:]), 0.05)
         return grid, state, 0.0
@@ -325,11 +326,82 @@ def test_momentum_advection_one_sided_second_order_formula():
     adv = momentum_advection(fs, grid, limiter=False)
     u = st.u[0, :16]
     um1, um2 = np.roll(u, 1), np.roll(u, 2)
-    dxh = grid.mesh.dx_half[:16]
+    dxh = grid.dx_half[:16]
     d1, d0 = u - um1, um1 - um2
     # all velocities positive: upstream-left stencil with curvature correction
     expected = u * (d1 + 0.5 * (d1 - d0)) / dxh
     assert np.allclose(adv[0, :16], expected, rtol=1e-12)
+
+
+def advection_as_first_written(u, grid, limiter):
+    """Reference for momentum_advection: u padded by hstack, the four
+    stencil differences apart, one minmod per upwind direction, and the
+    neighbours across a transition cell written into copies of the shifted
+    arrays before differencing."""
+    layout, M, periodic = grid.layout, grid.mesh.M, grid.bounds.periodic
+    n = M if periodic else M + 1
+    jj = np.arange(n)
+
+    def at(j):
+        return j % n if periodic else np.where((j >= 0) & (j < n), j, -1)
+
+    trans = np.nonzero(layout.transition_cell)[0]
+    first_only = np.isin(jj, at(trans)) | np.isin(jj, at(trans + 1))
+    half_m = np.where(first_only | (at(jj - 2) < 0) | np.isin(jj, at(trans + 2)), 0.0, 0.5)
+    half_p = np.where(first_only | (at(jj + 2) < 0) | np.isin(jj, at(trans - 1)), 0.0, 0.5)
+    left, right = at(jj - 1) >= 0, at(jj + 1) >= 0
+    inv_dx = 1.0 / grid.dx_half[:n]
+    ends = ((u[:, n - 2:n], u[:, :2]) if periodic
+            else (np.zeros((layout.n_max, 2)),) * 2)
+    u_pad = np.hstack([ends[0], u[:, :n], ends[1]])
+    um2, um1, ucol, up1, up2 = (u_pad[:, k:k + n].copy() for k in range(5))
+    for side in layout.remap:
+        fine, coarse = at(side.cell + 1 - side.side), at(side.slot_cell + side.side)
+        toward_coarse, toward_fine = (um1, up1) if side.side == 0 else (up1, um1)
+        toward_coarse[:, fine] = 0.0
+        toward_coarse[side.layer, fine] = side.at_coarse(u)[side.parent, side.cell]
+        toward_fine[:, coarse] = 0.0
+        toward_fine[side.slot_layer, coarse] = side.restrict(u[side.layer, fine])
+    d1, d0, e1, e2 = ucol - um1, um1 - um2, up1 - ucol, up2 - up1
+    corr_m, corr_p = d1 - d0, e1 - e2
+
+    def minmod_of(a, b):
+        return 0.5 * (np.sign(a) + np.sign(b)) * np.minimum(np.abs(a), np.abs(b))
+
+    if limiter:
+        corr_m = np.where(right, minmod_of(corr_m, e1 - d1), corr_m)
+        corr_p = np.where(left, minmod_of(corr_p, d1 - e1), corr_p)
+    s_pos = (d1 + half_m * corr_m) * np.where(left, inv_dx, 0.0)
+    s_neg = (e1 + half_p * corr_p) * np.where(right, inv_dx, 0.0)
+    adv = ucol * np.where(ucol > 0.0, s_pos, s_neg)
+    return np.concatenate([adv, adv[:, :1]], axis=1) if periodic else adv
+
+
+# bounded walls, a periodic grid, both transition orientations, the tidal
+# nvar4 layout with its open ends, and periodic bands whose transition sits
+# at the wrap or inside
+ADVECTION_GRIDS = ("lock_exchange", "periodic_viscous", "basin_242", "basin_424",
+                   "tidal_nvar4", "band0", "band29")
+
+
+@pytest.mark.parametrize("limiter", [False, True])
+@pytest.mark.parametrize("name", ADVECTION_GRIDS)
+def test_momentum_advection_is_the_stencil_as_first_written(name, limiter):
+    """The shared differences, the one minmod and the patched remap columns
+    give the values of the separate stencil, for random velocities with
+    exact zeros and runs of equal values (zero curvatures)."""
+    grid, state, t = _remap_problem(name)
+    fs = prepare_fields(state, grid, t)
+    rng = np.random.default_rng(11)
+    for trial in range(4):
+        u = np.where(rng.random(fs.u.shape) < 0.5,
+                     rng.integers(-2, 3, fs.u.shape) * 0.25,
+                     rng.standard_normal(fs.u.shape))
+        fs.u = np.where(grid.layout.active_half(), u, 0.0)
+        if grid.bounds.periodic:
+            fs.u[:, -1] = fs.u[:, 0]
+        got = momentum_advection(fs, grid, limiter)
+        assert np.array_equal(got, advection_as_first_written(fs.u, grid, limiter)), trial
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +712,9 @@ def test_grid_static_data_is_read_only():
     static = [grid.b_g, grid.db, grid.grad_factor, grid.mid_depth, grid.l_dx_half,
               grid.sum_below, grid.sum_above, grid.inner_interfaces, grid.evolved_u,
               grid.dx_half, grid.frac_below, grid.inv_l_v, *grid.top_layer,
-              *(getattr(cols, f) for f in cols._fields if f != "remap")]
+              grid.fixed_u_columns,
+              *(getattr(cols, f) for f in cols._fields if f != "remap"),
+              *(a for side in cols.remap for a in side)]
     for a in static:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
