@@ -35,7 +35,7 @@ class CaseSpec:
     t_final: float
     integrator: str = "imex"           # "rk3" or "imex"
     dt: float | None = None            # fixed step, or None for adaptive
-    target_ccel: float | None = None   # adaptive target on C_cel
+    target_ccel: float | None = None   # adaptive target on C_cel (dt None)
     limiter: bool = False
     output_interval: float = 1.0       # inf: the first and last state only
 
@@ -48,6 +48,9 @@ class CaseSpec:
                              f"and last state only), got {self.output_interval!r}")
         if self.dt is None and self.target_ccel is None and self.t_final > 0:
             raise ValueError("either dt or target_ccel must be set")
+        if self.dt is not None and self.target_ccel is not None:
+            raise ValueError("dt and target_ccel exclude each other: set dt=None "
+                             "for an adaptive step")
         for name in ("dt", "target_ccel"):
             value = getattr(self, name)
             if value is not None and not (np.isfinite(value) and value > 0):

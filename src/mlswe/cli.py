@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .cases import CASES, TIDAL_LAYOUTS, case_tidal
+from .cases import CASES, TIDAL_LAYOUTS
 from .csvio import load_run_states, output_root, write_run
 from .harness import run_case
 from .linear import LinearModel, assemble_A, hyperbolicity_check, spectrum
@@ -29,12 +29,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a benchmark case")
     run.add_argument("case", choices=sorted(CASES))
-    run.add_argument("--dt", type=float, default=None)
-    run.add_argument("--ccel", type=float, default=None,
-                     help="adaptive step targeting this celerity Courant number")
+    step = run.add_mutually_exclusive_group()
+    step.add_argument("--dt", type=float, default=None)
+    step.add_argument("--ccel", type=float, default=None,
+                      help="adaptive step targeting this celerity Courant number")
     run.add_argument("--integrator", choices=("rk3", "imex"), default=None)
-    run.add_argument("--layout", choices=sorted(TIDAL_LAYOUTS), default="uniform",
-                     help="vertical layout (tidal case only)")
+    run.add_argument("--layout", choices=sorted(TIDAL_LAYOUTS), default=None,
+                     help="vertical layout (tidal case only; default uniform)")
     run.add_argument("--t-final", type=float, default=None)
     run.add_argument("--output-interval", type=float, default=None)
     run.add_argument("--out", default=None, help="output directory")
@@ -71,11 +72,13 @@ def _cmd_run(args) -> int:
         kw["t_final"] = args.t_final
     if args.output_interval is not None:
         kw["output_interval"] = args.output_interval
+    if args.layout is not None:
+        if args.case != "tidal":
+            raise ValueError(f"--layout applies to the tidal case only, "
+                             f"not to {args.case}")
+        kw["layout"] = args.layout
 
-    if args.case == "tidal":
-        spec = case_tidal(layout=args.layout, **kw)
-    else:
-        spec = CASES[args.case](**kw)
+    spec = CASES[args.case](**kw)
 
     result = run_case(spec)
     out = output_root(args.out) / spec.name if args.out is None else args.out

@@ -1,4 +1,4 @@
-"""1D finite-volume mesh: control volumes, interface spacings, bathymetry."""
+"""1D finite-volume mesh: control volumes and bathymetry."""
 
 from __future__ import annotations
 
@@ -12,17 +12,13 @@ class Mesh1D:
     """Horizontal control-volume mesh.
 
     Cell centers x_center[i] sit between interfaces x_iface[i] and
-    x_iface[i+1]; velocities live on the interfaces. dx_half[j] is the
-    center-to-center distance across interior interface j (j = 1..M-1);
-    each end entry is the adjacent cell width, which keeps momentum formulas
-    defined at open boundaries but is not the spacing across a periodic
-    wrap: the operators read `spatial.Grid.dx_half`, which is.
+    x_iface[i+1]; velocities live on the interfaces. The spacing across
+    each interface depends on the boundaries: `spatial.Grid.dx_half`.
     """
 
     x_iface: np.ndarray   # (M+1,)
     x_center: np.ndarray  # (M,)
     dx: np.ndarray        # (M,)
-    dx_half: np.ndarray   # (M+1,)
     b: np.ndarray         # (M,) bathymetry elevation at cell centers
 
     @property
@@ -56,10 +52,6 @@ def build_mesh(x_min, x_max, M=None, bathymetry=0.0, x_iface=None) -> Mesh1D:
 
     x_center = 0.5 * (x_iface[:-1] + x_iface[1:])
     dx = np.diff(x_iface)
-    dx_half = np.empty(x_iface.size)
-    dx_half[1:-1] = np.diff(x_center)
-    dx_half[0] = dx[0]
-    dx_half[-1] = dx[-1]
 
     if callable(bathymetry):
         b = np.asarray(bathymetry(x_center), dtype=float) * np.ones_like(x_center)
@@ -68,4 +60,4 @@ def build_mesh(x_min, x_max, M=None, bathymetry=0.0, x_iface=None) -> Mesh1D:
     if not np.all(np.isfinite(b)):
         raise ValueError("bathymetry must be finite on the domain")
 
-    return Mesh1D(x_iface=x_iface, x_center=x_center, dx=dx, dx_half=dx_half, b=b)
+    return Mesh1D(x_iface=x_iface, x_center=x_center, dx=dx, b=b)

@@ -18,6 +18,11 @@ not masked, and the one full mask left is `barotropic_gradient`'s, whose
 (M+1) row is not padded. Data that depends on the grid alone (masks, prefix
 sums of the fractions, metric factors) is built once, read-only, as a cached
 property of `Grid`; the operators never write into their inputs.
+
+Across a layer-count transition an interface sees a cell's densities,
+transfer field or velocity differences through one remap,
+`_seen_from_interfaces`, and a cell sees interface fluxes through
+`_cell_layer_flux`.
 """
 
 from __future__ import annotations
@@ -40,18 +45,16 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 class AdvectionColumns(NamedTuple):
-    """Per column of `momentum_advection` (the M+1 interfaces; the M unique
-    ones, wrapping, if periodic)."""
+    """Per column of `momentum_advection`: the M+1 interfaces (if periodic,
+    column M is column 0's alias and takes its values)."""
 
-    inv_dx: np.ndarray          # (2, n) 1/dx_half with a left (row 0) and a
-                                # right (row 1) neighbour, else 0
-    half_corr: np.ndarray       # (2, n) 1/2 (-1/2) where the upstream-left
+    inv_dx: np.ndarray          # (2, M+1) 1/dx_half with a left (row 0) and
+                                # a right (row 1) neighbour, else 0
+    half_corr: np.ndarray       # (2, M+1) 1/2 (-1/2) where the upstream-left
                                 # (right) curvature correction applies, else 0
                                 # (first order next to a transition or an end)
     unlimited: np.ndarray       # minmod columns that an end column reads
     unlimited_from: np.ndarray  # unlimited: these columns of the curvature
-    remap: tuple                # per remap side its fine and coarse columns,
-                                # and where each entry's and slot's cell is in them
 
 
 class End(NamedTuple):
@@ -104,12 +107,11 @@ class Grid:
 
     @cached_property
     def dx_half(self) -> np.ndarray:
-        """Read-only (M+1,) center-to-center spacing across each interface;
-        on a periodic grid both ends take the spacing across the wrap."""
-        dx_half = self.mesh.dx_half.copy()
-        if self.bounds.periodic:
-            dx_half[[0, -1]] = 0.5 * (self.mesh.dx[0] + self.mesh.dx[-1])
-        return _read_only(dx_half)
+        """Read-only (M+1,) center-to-center spacing across each interface; an
+        end takes its cell's width, or the spacing across the periodic wrap."""
+        x, dx = self.mesh.x_center, self.mesh.dx
+        ends = [0.5 * (dx[0] + dx[-1])] * 2 if self.bounds.periodic else dx[[0, -1]]
+        return _read_only(np.r_[ends[0], x[1:] - x[:-1], ends[1]])
 
     @cached_property
     def grad_factor(self) -> np.ndarray:
@@ -193,30 +195,25 @@ class Grid:
     def advection_columns(self) -> AdvectionColumns:
         """The read-only `AdvectionColumns` of `momentum_advection`."""
         M, periodic = self.mesh.M, self.bounds.periodic
-        n = M if periodic else M + 1
-        jj = np.arange(n)
 
         def at(j):  # interface indices -> columns: wrapped, or -1 past the ends
-            return j % n if periodic else np.where((j >= 0) & (j < n), j, -1)
+            return j % M if periodic else np.where((j >= 0) & (j <= M), j, -1)
 
+        jj = at(np.arange(M + 1))
         trans = np.nonzero(self.layout.transition_cell)[0]
         first_only = np.isin(jj, at(trans)) | np.isin(jj, at(trans + 1))
         no_corr_m = first_only | (at(jj - 2) < 0) | np.isin(jj, at(trans + 2))
         no_corr_p = first_only | (at(jj + 2) < 0) | np.isin(jj, at(trans - 1))
-        remap = tuple(tuple(map(_read_only, (
-            at(c + 1 - s.side), at(c + s.side), np.searchsorted(c, s.cell),
-            np.searchsorted(c, s.slot_cell)))) for s in self.layout.remap
-            for c in [np.flatnonzero(np.bincount(s.cell))])  # its cells, sorted
         left, right = at(jj - 1) >= 0, at(jj + 1) >= 0
         # column j's upstream-left correction is minmod column j, its right
         # one column j+1; where an end column reads its own, the column that
-        # shares it (1 or n-2) has no correction, so it may be unlimited.
+        # shares it (1 or M-1) has no correction, so it may be unlimited.
         no_right, no_left = np.nonzero(~right)[0], np.nonzero(~left)[0]
         return AdvectionColumns(*map(_read_only, (
-            np.where([left, right], 1.0 / self.dx_half[:n], 0.0),
+            np.where([left, right], 1.0 / self.dx_half, 0.0),
             np.where([no_corr_m, no_corr_p], 0.0, [[0.5], [-0.5]]),
             np.concatenate([no_right, no_left + 1]),
-            np.concatenate([no_right, no_left + 2]))), remap)
+            np.concatenate([no_right, no_left + 2]))))
 
     def __post_init__(self):
         """Reject boundary input that does not fit the layout."""
@@ -278,7 +275,7 @@ def ghost_elevation(eta, grid: Grid, t: float) -> np.ndarray:
 def boundary_values(state: State, grid: Grid, t: float, u_full=None):
     """Fill boundary velocity columns and build ghost-cell arrays.
 
-    Returns (u_full, eta_g, rho_g, b_g) where ghost arrays have length M+2
+    Returns (u_full, eta_g, rho_g) where ghost arrays have length M+2
     (index 0 = left ghost, M+1 = right ghost). A caller that has already
     filled the boundary columns of state.u (`boundary_velocities`) passes
     the result as u_full, which is returned as is.
@@ -290,7 +287,7 @@ def boundary_values(state: State, grid: Grid, t: float, u_full=None):
         rho_g[:len(rho), end.ghost] = rho
     if u_full is None:
         u_full = boundary_velocities(state, grid, t)
-    return u_full, ghost_elevation(state.eta, grid, t), rho_g, grid.b_g
+    return u_full, ghost_elevation(state.eta, grid, t), rho_g
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +339,9 @@ def prepare_fields(state: State, grid: Grid, t: float, u_full=None) -> FieldSet:
     """Assemble the upwind interface quantities for one RHS evaluation
     (u_full as for `boundary_values`)."""
     layout = grid.layout
-    u_full, eta_g, rho_g, b_g = boundary_values(state, grid, t, u_full)
+    u_full, eta_g, rho_g = boundary_values(state, grid, t, u_full)
 
-    h_g = eta_g - b_g
+    h_g = eta_g - grid.b_g
     if (h_g[1:-1] <= grid.h_min).any():
         raise DryStateError("water depth below h_min")
 
@@ -458,47 +455,41 @@ def vertical_density_term(rho_stage, G, grid: Grid) -> np.ndarray:
 # momentum terms
 
 
-def _slope(diff, half_corr, corr, inv_dx):
-    """An upstream slope, corrected by the signed half of a curvature."""
-    return (diff + half_corr * corr) * inv_dx
-
-
 def momentum_advection(fs: FieldSet, grid: Grid, limiter: bool) -> np.ndarray:
     """u * du/dx at the velocity points, upstream-biased second order with an
-    optional minmod blend toward first-order upwind."""
-    u, cols, n_max = fs.u, grid.advection_columns, grid.layout.n_max
-    n = cols.inv_dx.shape[1]
-    pad = np.zeros((n_max, n + 4))  # two zero columns past each end
-    pad[:, 2:-2] = u[:, :n]
-    if n == grid.mesh.M:  # periodic: wrap
-        pad[:, :2], pad[:, -2:] = u[:, n - 2:n], u[:, :2]
-    D = pad[:, 1:] - pad[:, :-1]
+    optional minmod blend toward first-order upwind. An interface sees the
+    difference across each of its cells as it sees a cell scalar: that of a
+    transition cell in the cell's layering, restricted at its coarse face."""
+    u, cols, M = fs.u, grid.advection_columns, grid.mesh.M
+    pad = np.zeros((grid.layout.n_max, M + 5))  # two zero columns past each end
+    pad[:, 2:-2] = u
+    if grid.bounds.periodic:  # wrap
+        pad[:, :2], pad[:, -2:] = u[:, M - 2:M], u[:, 1:3]
+    D = pad[:, 1:] - pad[:, :-1]  # column c+2: the difference across cell c
     DD = D[:, 1:] - D[:, :-1]
-    ucol, d1, e1 = pad[:, 2:-2], D[:, 1:-2], D[:, 2:-1]  # d1, e1: backward, forward
     if limiter:
         lim = minmod(DD)
         lim[:, cols.unlimited] = DD[:, cols.unlimited_from]
         corr = lim[:, :-1], lim[:, 1:]
     else:
         corr = DD[:, :-2], DD[:, 2:]  # d1 - d0 and e2 - e1
-    # upstream on the left (k = 0, for u > 0) and on the right (k = 1)
-    s = [_slope(diff, cols.half_corr[k], corr[k], cols.inv_dx[k])
+
+    def across(side, fine, coarse):  # the right face's value less the left's
+        return fine - coarse if side.side == 0 else coarse - fine
+
+    for side in grid.layout.remap:  # the fine face against the coarse injected
+        fine = u[side.layer, side.cell + 1 - side.side]
+        D[side.layer, side.cell + 2] = across(
+            side, fine, side.at_coarse(u)[side.parent, side.cell])
+    d1, e1 = _seen_from_interfaces(D[:, 1:-1], grid, lambda side: across(
+        side, side.restrict(u[side.layer, side.cell + 1 - side.side]),
+        side.at_coarse(u)[side.slot_layer, side.slot_cell]))  # backward, forward
+    # upstream on the left (k = 0, for u > 0) and on the right (k = 1),
+    # corrected by the signed half of a curvature
+    s = [(diff + cols.half_corr[k] * corr[k]) * cols.inv_dx[k]
          for k, diff in enumerate((d1, e1))]
-    for side, (fine, coarse, entry, slot) in zip(grid.layout.remap, cols.remap):
-        # the neighbour across a transition cell, in the column's layering
-        across = np.zeros((2, n_max, fine.size))  # at the fine, coarse columns
-        across[0][side.layer, entry] = u[side.parent, side.cell + side.side]
-        across[1][side.slot_layer, slot] = side.restrict(
-            u[side.layer, side.cell + 1 - side.side])
-        for j, nb, k in zip((fine, coarse), across, (side.side, 1 - side.side)):
-            diff = ucol[:, j] - nb if k == 0 else nb - ucol[:, j]
-            s[k][:, j] = _slope(diff, cols.half_corr[k, j], corr[k][:, j],
-                                cols.inv_dx[k, j])
     # u == 0 takes the upstream-right slope, and gives 0 all the same
-    adv = ucol * np.where(ucol > 0.0, *s)
-    if n == grid.mesh.M:  # periodic: the alias column M repeats column 0
-        adv = np.concatenate([adv, adv[:, :1]], axis=1)
-    return adv
+    return u * np.where(u > 0.0, *s)
 
 
 def baroclinic_gradient(fs: FieldSet, grid: Grid) -> np.ndarray:

@@ -141,6 +141,8 @@ def test_case_spec_validation():
 # what the spec says about the last field of each bad input
 RULES = {"dt": "positive and finite", "target_ccel": "positive and finite",
          "output_interval": "positive", "t_final": "nonnegative and finite"}
+# valid alone, but both cases set dt, which a C_cel target excludes
+BOTH_STEPS = {"target_ccel": 0.9}
 
 
 @pytest.mark.parametrize("bad", [
@@ -148,19 +150,21 @@ RULES = {"dt": "positive and finite", "target_ccel": "positive and finite",
     {"dt": None, "target_ccel": 0.0}, {"dt": None, "target_ccel": -0.9},
     {"output_interval": 0.0}, {"output_interval": -0.4},
     {"output_interval": float("nan")}, {"t_final": float("nan")},
-    {"t_final": float("inf")}])
+    {"t_final": float("inf")}, BOTH_STEPS])
 def test_case_spec_rejects_bad_time_steps(bad, monkeypatch):
     """dt = 0 used to hang the run and dt < 0 to run backwards in time;
     output_interval = 0 failed inside the banded solve, < 0 ran backwards
     and NaN wrote 2 snapshots instead of 11; t_final = NaN "completed" 0
-    steps. The spec now refuses them when it is built, before any step."""
+    steps; a target_ccel next to a dt was ignored. The spec now refuses
+    them when it is built, before any step."""
     def no_step(*args, **kwargs):
         raise AssertionError("a step was started")
 
     for cls in (m.RK3Integrator, m.IMEXIntegrator):
         monkeypatch.setattr(cls, "step", no_step)
     name = list(bad)[-1]
-    match = f"{name} must be {RULES[name]}"
+    match = (f"{name} must be {RULES[name]}" if bad is not BOTH_STEPS
+             else "dt and target_ccel exclude each other")
     with pytest.raises(ValueError, match=match):
         m.run_case(m.case_lock_exchange(integrator="rk3", **bad))
     with pytest.raises(ValueError, match=match):

@@ -83,6 +83,39 @@ def test_run_rejects_zero_time_step(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "x").exists()
 
 
+def test_run_takes_dt_or_ccel_not_both(tmp_path, capsys, monkeypatch):
+    """--ccel used to drop --dt without a word."""
+    def no_run(spec):
+        raise AssertionError("a run was started")
+
+    monkeypatch.setattr(cli, "run_case", no_run)
+    with pytest.raises(SystemExit):
+        main(["run", "lock_exchange", "--dt", "0.1", "--ccel", "0.9",
+              "--out", str(tmp_path / "x")])
+    assert "not allowed with argument --dt" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_run_layout_is_for_the_tidal_case_only(tmp_path, capsys, monkeypatch):
+    """--layout used to be ignored, with exit 0, on the other cases."""
+    names = []
+
+    def no_run(spec):
+        names.append(spec.name)
+        raise ValueError("not run")
+
+    monkeypatch.setattr(cli, "run_case", no_run)
+    assert main(["run", "tidal", "--layout", "nvar4"]) == 1
+    assert main(["run", "tidal"]) == 1
+    assert names == ["tidal_nvar4", "tidal_uniform"]
+    capsys.readouterr()
+    rc = main(["run", "internal_wave", "--layout", "nvar4",
+               "--out", str(tmp_path / "x")])
+    assert rc == 1 and len(names) == 2
+    assert "--layout applies to the tidal case only" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_compare_subcommand(tmp_path, capsys):
     out = tmp_path / "ref"
     assert main(["run", "internal_wave", "--dt", "0.04", "--t-final", "0.08",

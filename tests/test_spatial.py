@@ -55,7 +55,7 @@ def test_wall_boundary_mirrors_and_zeroes():
     grid = make_grid(bounds=Boundaries(Wall(), Wall()))
     st = rest_state(grid.mesh, grid.layout, eta0=0.4)
     st.rho[:, 0] = 0.02
-    u_full, eta_g, rho_g, b_g = boundary_values(st, grid, 0.0)
+    u_full, eta_g, rho_g = boundary_values(st, grid, 0.0)
     assert np.all(u_full[:, 0] == 0.0) and np.all(u_full[:, -1] == 0.0)
     assert eta_g[0] == st.eta[0] and eta_g[-1] == st.eta[-1]
     assert np.allclose(rho_g[:, 0], st.rho[:, 0])
@@ -79,7 +79,7 @@ def test_elevation_boundary_ghost():
     grid = make_grid(bounds=Boundaries(
         Wall(), Elevation(eta=lambda t: eta_bc, rho=lambda t: np.zeros(3))))
     st = rest_state(grid.mesh, grid.layout, eta0=0.4)
-    _, eta_g, _, _ = boundary_values(st, grid, 0.0)
+    _, eta_g, _ = boundary_values(st, grid, 0.0)
     assert eta_g[-1] == eta_bc
 
 
@@ -87,7 +87,7 @@ def test_periodic_wraparound():
     grid = make_grid(bounds=periodic())
     st = rest_state(grid.mesh, grid.layout, eta0=0.4)
     st.eta[:] = 0.4 + 0.01 * np.sin(2 * np.pi * grid.mesh.x_center)
-    _, eta_g, _, _ = boundary_values(st, grid, 0.0)
+    _, eta_g, _ = boundary_values(st, grid, 0.0)
     assert eta_g[0] == st.eta[-1] and eta_g[-1] == st.eta[0]
 
 
@@ -713,8 +713,7 @@ def test_grid_static_data_is_read_only():
               grid.sum_below, grid.sum_above, grid.inner_interfaces, grid.evolved_u,
               grid.dx_half, grid.frac_below, grid.inv_l_v, *grid.top_layer,
               grid.fixed_u_columns,
-              *(getattr(cols, f) for f in cols._fields if f != "remap"),
-              *(a for side in cols.remap for a in side)]
+              *cols]
     for a in static:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
