@@ -9,7 +9,8 @@ from typing import Callable
 import numpy as np
 
 from .bc import Boundaries, Discharge, Elevation, Wall
-from .layers import CONFORMAL_TOL, LayerLayout, build_layout
+from .integrators import INTEGRATORS
+from .layers import CONFORMAL_TOL, LayerLayout, build_layout, region_tables
 from .mesh import build_mesh
 from .spatial import Grid
 from .state import PhysParams, WallFriction, Wind, rest_state
@@ -40,6 +41,8 @@ class CaseSpec:
     output_interval: float = 1.0       # inf: the first and last state only
 
     def __post_init__(self):
+        if self.integrator not in INTEGRATORS:
+            raise ValueError(f"unknown integrator {self.integrator!r}")
         if not (np.isfinite(self.t_final) and self.t_final >= 0):
             raise ValueError("t_final must be nonnegative and finite, "
                              f"got {self.t_final!r}")
@@ -192,8 +195,7 @@ def case_tidal(layout: str = "uniform", **overrides) -> CaseSpec:
     if layout not in TIDAL_LAYOUTS:
         raise ValueError(f"unknown tidal layout {layout!r}")
     layers = overrides.get("layers", TIDAL_LAYOUTS[layout])
-    # the fraction tables of the left and the right end
-    tables = [frac for _, frac in layers] if isinstance(layers, list) else [layers]
+    tables, _ = region_tables(layers)  # the left end's first, the right end's last
     rho_ext = tidal_exterior_density(tables[-1])
     omega = 2.0 * np.pi / DAY_12H
 

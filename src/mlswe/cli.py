@@ -19,6 +19,7 @@ import numpy as np
 from .cases import CASES, TIDAL_LAYOUTS
 from .csvio import load_run_states, output_root, write_run
 from .harness import run_case
+from .integrators import INTEGRATORS
 from .linear import LinearModel, assemble_A, hyperbolicity_check, spectrum
 
 
@@ -33,7 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
     step.add_argument("--dt", type=float, default=None)
     step.add_argument("--ccel", type=float, default=None,
                       help="adaptive step targeting this celerity Courant number")
-    run.add_argument("--integrator", choices=("rk3", "imex"), default=None)
+    run.add_argument("--integrator", choices=tuple(INTEGRATORS), default=None)
     run.add_argument("--layout", choices=sorted(TIDAL_LAYOUTS), default=None,
                      help="vertical layout (tidal case only; default uniform)")
     run.add_argument("--t-final", type=float, default=None)

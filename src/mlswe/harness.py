@@ -9,8 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cases import CaseSpec, build_problem
-from .integrators import (IMEXIntegrator, RK3Integrator, StepFailure,
-                          courant_dt, courant_numbers)
+from .integrators import INTEGRATORS, StepFailure, courant_dt, courant_numbers
 from .layers import LayerLayout, refine_parent
 from .spatial import Grid
 from .state import DryStateError, State, total_density_mass, total_volume
@@ -58,12 +57,7 @@ def run_case(spec: CaseSpec, grid: Grid | None = None,
     """
     if grid is None or state is None:
         grid, state = build_problem(spec)
-    if spec.integrator == "rk3":
-        integ = RK3Integrator(grid, limiter=spec.limiter)
-    elif spec.integrator == "imex":
-        integ = IMEXIntegrator(grid, limiter=spec.limiter)
-    else:
-        raise ValueError(f"unknown integrator {spec.integrator!r}")
+    integ = INTEGRATORS[spec.integrator](grid, limiter=spec.limiter)
 
     report = RunReport(case=spec.name, integrator=spec.integrator)
     vol0 = total_volume(state, grid.mesh)
@@ -111,7 +105,7 @@ def run_case(spec: CaseSpec, grid: Grid | None = None,
     report.t_end = t
     report.wall_time = time.perf_counter() - t_start
     report.n_rhs = integ.n_rhs
-    report.n_implicit = getattr(integ, "n_implicit", 0)
+    report.n_implicit = integ.n_implicit
     if report.verdict == "completed":
         vol1 = total_volume(state, grid.mesh)
         dm1 = total_density_mass(state, grid.mesh, grid.layout)

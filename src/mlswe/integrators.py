@@ -13,10 +13,10 @@ and in the IMEX step also as the stage matrix and in its residual. The
 implicit operator is frozen at time level n and both implicit stages share
 one diagonal, so the stage matrix is built and factored once per step:
 I - gamma dt A in every column, and the free-surface tridiagonal along the
-domain (with, if periodic, its Sherman-Morrison correction), both
-eliminated by mlswe's own `tridiag` kernels. Each solve after that is
-forward and back substitution only. Level n is evaluated once; each later
-stage solves from the explicit values of its tableau rows and evaluates
+domain, both handed as three diagonals to mlswe's own `tridiag` kernels,
+which also own the cyclic correction of a periodic grid. Each solve after
+that is forward and back substitution only. Level n is evaluated once; each
+later stage solves from the explicit values of its tableau rows and evaluates
 only what a later stage or the assembly reads (stage 2's stiff tendency
 comes out of its solve; stage 3's is never needed, because b equals the
 last implicit row).
@@ -171,6 +171,7 @@ class RK3Integrator:
         self.grid = grid
         self.limiter = limiter
         self.n_rhs = 0
+        self.n_implicit = 0
 
     def step(self, state: State, t: float, dt: float) -> State:
         grid = self.grid
@@ -217,13 +218,7 @@ class ImplicitWorkspace:
     W: np.ndarray               # (M+1,) its column flux h * sum(l * w_hat),
                                 # 0 at discharge ends, W[M] = W[0] if periodic
     fac: np.ndarray             # (M,) gamma_dt / dx
-    factors: sla.Factors        # the banded free-surface matrix, with the
-                                # Sherman-Morrison corner modification if
-                                # periodic, factored
-    z: np.ndarray | None        # periodic: the modified matrix's response to
-                                # the corner column gamma e_0 + beta e_{M-1}
-    r: float                    # periodic: the corner row v = e_0 + r e_{M-1}
-    v_z: float                  # periodic: v . z
+    factors: sla.Factors        # the free-surface matrix factored, cyclic if periodic
 
 
 def build_implicit_workspace(grid: Grid, h_half, A: VerticalOperator | None,
@@ -244,33 +239,13 @@ def build_implicit_workspace(grid: Grid, h_half, A: VerticalOperator | None,
     W = h_half * (layout.l_half * w_hat).sum(axis=0)
     for end in grid.discharge_ends:
         W[end.iface] = 0.0
-    periodic = grid.bounds.periodic
-    if periodic:
+    if grid.bounds.periodic:
         W[M] = W[0]  # interface M aliases interface 0
     fac = gamma_dt / mesh.dx
-    lower = -fac * W[:M]
-    upper = -fac * W[1:]
-    ab = np.zeros((3, M))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = 1.0 + fac * (W[:M] + W[1:])
-    ab[2, :-1] = lower[1:]
-    z, r, v_z = None, 0.0, 0.0
-    if periodic:
-        # the cyclic corners lower[0] at (0, M-1) and upper[-1] at (M-1, 0)
-        # as the rank-one update (gamma e_0 + beta e_{M-1}) v^T
-        alpha, beta, gamma = lower[0], upper[-1], -ab[1, 0]
-        ab[1, 0] -= gamma
-        ab[1, -1] -= alpha * beta / gamma
-    factors = sla.factor(ab)
-    if periodic:
-        corner = np.zeros(M)
-        corner[0], corner[-1] = gamma, beta
-        z = sla.solve_banded(factors, corner)
-        r = alpha / gamma
-        v_z = z[0] + r * z[-1]
-    return ImplicitWorkspace(
-        h_half=h_half, A=A, gamma_dt=gamma_dt, vertical=vertical,
-        w_hat=w_hat, W=W, fac=fac, factors=factors, z=z, r=r, v_z=v_z)
+    factors = sla.factor(-fac * W[:M], 1.0 + fac * (W[:M] + W[1:]), -fac * W[1:],
+                         cyclic=grid.bounds.periodic)
+    return ImplicitWorkspace(h_half=h_half, A=A, gamma_dt=gamma_dt, vertical=vertical,
+                             w_hat=w_hat, W=W, fac=fac, factors=factors)
 
 
 def implicit_stage_solve(grid: Grid, ws: ImplicitWorkspace,
@@ -304,8 +279,6 @@ def implicit_stage_solve(grid: Grid, ws: ImplicitWorkspace,
         rhs[0] += fac[0] * W[0] * eta_g[0]
         rhs[-1] += fac[-1] * W[M] * eta_g[-1]
     eta = sla.solve_banded(ws.factors, rhs)
-    if periodic:
-        eta = eta - ws.z * ((eta[0] + ws.r * eta[-1]) / (1.0 + ws.v_z))
 
     # back-substitute the velocities
     eta_g = ghost_elevation(eta, grid, t_stage)
@@ -410,3 +383,7 @@ class IMEXIntegrator:
 def imex_ark2_step(state: State, grid: Grid, t: float, dt: float,
                    limiter: bool = False) -> State:
     return IMEXIntegrator(grid, limiter).step(state, t, dt)
+
+
+# the integrator of each CaseSpec.integrator name
+INTEGRATORS = {"rk3": RK3Integrator, "imex": IMEXIntegrator}

@@ -146,28 +146,27 @@ def _remap_side(side, cells, n_half, l_half, n_int, l_int):
                      slot_cell=cells[ks], slot_first=layer[first], first=first)
 
 
+def region_tables(regions):
+    """The checked fraction tables of a layer spec, left to right, and their
+    regions' upper bounds in x. A spec is one fraction sequence (a uniform
+    layout) or a list or tuple of (x_upper, fractions) pairs."""
+    if not isinstance(regions, (list, tuple)) or (regions and np.isscalar(regions[0])):
+        return [_check_fractions(regions)], [np.inf]
+    tables = [_check_fractions(frac) for _, frac in regions]
+    bounds = [float(x_upper) for x_upper, _ in regions]
+    if bounds != sorted(bounds):
+        raise LayoutError("region upper bounds must be increasing")
+    return tables, bounds
+
+
 def build_layout(mesh, regions) -> LayerLayout:
-    """Build a LayerLayout from per-region fraction tables.
-
-    regions is either a single fraction sequence (uniform layout) or a list
-    of (x_upper, fractions) pairs; each interface x takes the table of the
-    first region with x <= x_upper (use np.inf for the last region).
-    """
-    x = mesh.x_iface
-
-    if not isinstance(regions, (list, tuple)) or (
-        len(regions) > 0 and np.isscalar(regions[0])
-    ):
-        tables = [_check_fractions(regions)]
-        region_of = np.zeros(x.size, dtype=np.int64)
-    else:
-        tables = [_check_fractions(frac) for _, frac in regions]
-        bounds = [float(x_upper) for x_upper, _ in regions]
-        if bounds != sorted(bounds):
-            raise LayoutError("region upper bounds must be increasing")
-        region_of = np.searchsorted(np.asarray(bounds), x, side="left")
-        if np.any(region_of >= len(tables)):
-            raise LayoutError("regions do not cover the whole domain")
+    """Build a LayerLayout from a layer spec (see `region_tables`): each
+    interface x takes the table of the first region with x <= x_upper (use
+    np.inf for the last region)."""
+    tables, bounds = region_tables(regions)
+    region_of = np.searchsorted(np.asarray(bounds), mesh.x_iface, side="left")
+    if np.any(region_of >= len(tables)):
+        raise LayoutError("regions do not cover the whole domain")
 
     sizes = np.array([t.size for t in tables], dtype=np.int64)
     padded = np.zeros((sizes.max(), len(tables)))

@@ -27,10 +27,14 @@ class LinearModel:
         object.__setattr__(self, "U", np.atleast_1d(np.asarray(self.U, float)))
         object.__setattr__(self, "rho", np.atleast_1d(np.asarray(self.rho, float)))
         object.__setattr__(self, "l", np.atleast_1d(np.asarray(self.l, float)))
-        if self.H <= 0.0:
-            raise ValueError("H must be positive")
+        for name in ("H", "g"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if not (self.U.shape == self.rho.shape == self.l.shape):
             raise ValueError("U, rho, l must have the same length")
+        if np.any(self.l <= 0.0):
+            raise ValueError(f"layer fractions must be positive, got {self.l.tolist()}")
         if abs(float(np.sum(self.l)) - 1.0) > 1e-12:
             raise ValueError("layer fractions must sum to 1")
 

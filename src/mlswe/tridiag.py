@@ -3,12 +3,11 @@
 An IMEX step freezes its stage matrix for both implicit stages, so each
 tridiagonal in it is eliminated once per step and every solve after that
 does only the forward and back substitution of its right-hand side. There
-are two: the free-surface system along the domain (`factor`,
-`solve_banded`; on a periodic grid also solved for the Sherman-Morrison
-response) and the vertical system of every column (`thomas_factor`,
-`thomas`, vectorized over the columns). Both are strictly diagonally
-dominant by rows, so elimination without row interchanges never meets a
-vanishing pivot.
+are two, both given as three (M,) diagonals (sub, diag, sup): the
+free-surface system along the domain (`factor`, `solve_banded`) and the
+vertical system of every column (`thomas_factor`, `thomas`, vectorized over
+the columns). Both are strictly diagonally dominant by rows, so elimination
+without row interchanges never meets a vanishing pivot.
 
 The free-surface matrix is 1 + fac (W_i + W_{i+1}) on the diagonal and
 -fac W off it, with W >= 0. Its operations are those of LAPACK's dgtsv, in
@@ -19,7 +18,10 @@ entry below it, which a matrix that is also dominant by columns (a uniform
 fac) never has, so there the results equal `scipy.linalg.solve_banded`'s
 bit for bit; on a strongly graded mesh they may differ at round-off. The
 recurrences are sequential and run on Python floats, IEEE doubles like
-numpy's, which is faster than indexing numpy scalars.
+numpy's, which is faster than indexing numpy scalars. On a periodic grid
+the matrix is cyclic; `factor` splits off its corners as a rank-one update
+and `solve_banded` applies the Sherman-Morrison correction for it (Press et
+al., Numerical Recipes, 3rd ed., 2007, section 2.7.2).
 """
 
 from __future__ import annotations
@@ -30,32 +32,49 @@ import numpy as np
 
 
 class Factors(NamedTuple):
-    """The elimination of a tridiagonal matrix, as Python floats."""
+    """The elimination of a tridiagonal matrix, as Python floats, and for a
+    cyclic one the pieces of its Sherman-Morrison correction."""
 
     mult: list   # (M-1,) multipliers sub_i / piv_i
     piv: list    # (M,) pivots
     upper: list  # (M-1,) superdiagonal
+    z: np.ndarray | None = None  # cyclic: the response to the update's column
+    r: float = 0.0               # cyclic: its row v = e_0 + r e_{M-1}
+    v_z: float = 0.0             # cyclic: v . z
 
 
-def factor(ab: np.ndarray) -> Factors:
-    """Eliminate the (3, M) banded matrix `ab` (`scipy.linalg.solve_banded`'s
-    (1, 1) layout: superdiagonal in ab[0, 1:], diagonal in ab[1], subdiagonal
-    in ab[2, :-1]) without row interchanges."""
-    upper = ab[0, 1:].tolist()
-    diag = ab[1].tolist()
+def factor(sub, diag, sup, cyclic: bool = False) -> Factors:
+    """Eliminate the tridiagonal matrix of the (M,) diagonals without row
+    interchanges (sub[k] couples row k to row k-1, sup[k] row k to row k+1).
+    Unless `cyclic`, sub[0] and sup[-1] are unused; if it is, they are the
+    corners (0, M-1) and (M-1, 0)."""
+    diag = diag.tolist()
+    upper = sup[:-1].tolist()
+    if cyclic:
+        # the corners as the rank-one update (gamma e_0 + beta e_{M-1}) v^T
+        alpha, beta, gamma = float(sub[0]), float(sup[-1]), -diag[0]
+        diag[0] -= gamma
+        diag[-1] -= alpha * beta / gamma
     p = diag[0]
     piv, mult = [p], []
-    for sub, up, d in zip(ab[2, :-1].tolist(), upper, diag[1:]):
-        f = sub / p
+    for s, up, d in zip(sub[1:].tolist(), upper, diag[1:]):
+        f = s / p
         p = d - f * up
         mult.append(f)
         piv.append(p)
-    return Factors(mult, piv, upper)
+    factors = Factors(mult, piv, upper)
+    if not cyclic:
+        return factors
+    corner = np.zeros(len(diag))
+    corner[0], corner[-1] = gamma, beta
+    z = solve_banded(factors, corner)
+    r = alpha / gamma
+    return factors._replace(z=z, r=r, v_z=z[0] + r * z[-1])
 
 
 def solve_banded(factors: Factors, rhs: np.ndarray) -> np.ndarray:
-    """Solve the factored system for the (M,) right-hand side `rhs`."""
-    mult, piv, upper = factors
+    """Solve the factored system, cyclic or not, for the (M,) right-hand side."""
+    mult, piv, upper, z = factors[:4]
     b = rhs.tolist()
     y = b[0]
     ys = [y]
@@ -68,7 +87,10 @@ def solve_banded(factors: Factors, rhs: np.ndarray) -> np.ndarray:
     for yi, up, p in zip(reversed(ys), reversed(upper), pivots):
         x = (yi - up * x) / p
         xs.append(x)
-    return np.fromiter(reversed(xs), float, len(xs))
+    x = np.fromiter(reversed(xs), float, len(xs))
+    if z is None:
+        return x
+    return x - z * ((x[0] + factors.r * x[-1]) / (1.0 + factors.v_z))
 
 
 class Columns(NamedTuple):

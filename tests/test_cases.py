@@ -117,6 +117,36 @@ def test_tidal_layers_override_sizes_the_sea_side_profile():
         assert m.IMEXIntegrator(grid).step(state, 7.0 * 3600.0, 20.0).all_finite()
 
 
+def test_tidal_layers_as_a_tuple_build_the_list_problem():
+    """A region spec may be a tuple of (x_upper, fractions) pairs, as
+    `build_layout` reads it; `case_tidal` reads it through the same
+    function, so the tuple builds the problem that the list builds (the
+    tuple's left and right tables used to be taken as one table)."""
+    regions = TIDAL_LAYOUTS["nvar4"]
+    specs = [m.case_tidal("nvar4", layers=layers, M=40)
+             for layers in (list(regions), tuple(regions))]
+    built = [m.build_problem(spec) for spec in specs]
+    (grid_l, _), (grid_t, _) = built
+    for name in ("n_half", "l_half", "n_int", "l_int"):
+        assert np.array_equal(getattr(grid_l.layout, name), getattr(grid_t.layout, name))
+    for end in ("left", "right"):
+        a, b = (getattr(spec.bounds, end).rho(4.0 * 3600.0) for spec in specs)
+        assert a.tobytes() == b.tobytes(), end
+    steps = [m.IMEXIntegrator(grid).step(state, 3600.0, 20.0) for grid, state in built]
+    assert all(getattr(steps[0], f).tobytes() == getattr(steps[1], f).tobytes()
+               for f in ("eta", "u", "rho"))
+
+
+def test_case_spec_refuses_an_unknown_integrator():
+    """An unknown integrator used to be accepted and to fail only when the
+    run started; the spec now refuses it when it is built."""
+    with pytest.raises(ValueError, match="unknown integrator 'rk4'"):
+        m.case_lock_exchange(integrator="rk4")
+    with pytest.raises(ValueError, match="unknown integrator"):
+        m.case_internal_wave().with_options(integrator="IMEX")
+    assert m.RK3Integrator(m.build_problem(m.case_lock_exchange(M=20))[0]).n_implicit == 0
+
+
 def test_case_spec_validation():
     with pytest.raises(ValueError):
         m.case_internal_wave(t_final=-1.0)

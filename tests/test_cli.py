@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +135,24 @@ def test_error_exit_code(tmp_path, capsys):
     rc = main(["analyze", "spectrum", str(tmp_path / "nosuch.ini")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("l", "1.0, 0.0", "layer fractions must be positive"),
+    ("g", "-9.81", "g must be positive")])
+def test_spectrum_rejects_a_bad_profile(tmp_path, capsys, key, value, match):
+    """A zero layer fraction used to end in numpy warnings and a LinAlgError,
+    and a negative g in a printed spectrum and exit code 0."""
+    values = {"h": "1.0", "g": "9.81", "u": "0.2, 0.2", "rho": "0.0, 0.0",
+              "l": "0.5, 0.5", key: value}
+    profile = tmp_path / "profile.ini"
+    profile.write_text("[profile]\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["analyze", "spectrum", str(profile)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert f"error: {match}" in captured.err
 
 
 def test_unknown_case_rejected():

@@ -165,3 +165,19 @@ def test_model_validation():
         LinearModel(H=1.0, U=[0.0], rho=[0.0], l=[0.5])
     with pytest.raises(ValueError):
         LinearModel(H=1.0, U=[0.0, 0.0], rho=[0.0], l=[1.0])
+
+
+@pytest.mark.parametrize("bad, match", [
+    ({"l": [1.0, 0.0]}, "layer fractions must be positive"),
+    ({"l": [1.2, -0.2]}, "layer fractions must be positive"),
+    ({"g": -9.81}, "g must be positive"),
+    ({"g": 0.0}, "g must be positive"),
+    ({"H": 0.0}, "H must be positive"),
+    ({"H": float("nan")}, "H must be positive"),
+])
+def test_model_refuses_non_positive_fractions_depth_and_gravity(bad, match):
+    """A zero fraction used to divide by zero in `assemble_A`, and a
+    negative g gave a spectrum; the model now refuses both when built."""
+    kw = {"H": 1.0, "U": [0.2, 0.2], "rho": [0.0, 0.0], "l": [0.5, 0.5], "g": 9.81, **bad}
+    with pytest.raises(ValueError, match=match):
+        LinearModel(**kw)

@@ -5,6 +5,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import mlswe as m
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -20,6 +22,12 @@ def test_cases_are_the_benchmark_workloads(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))  # workloads.py extends it
     workloads = _load(ROOT / "bench" / "workloads.py", "bench_workloads")
     assert sorted(step_ab.CASES) == sorted(workloads.WORKLOADS)
+    # and each case builds the spec its workload runs
+    for name, (factory, kwargs) in step_ab.CASES.items():
+        tool, bench = getattr(m, factory)(**kwargs), workloads.case(name)
+        for field in ("name", "integrator", "dt", "target_ccel", "t_final",
+                      "limiter", "M"):
+            assert getattr(tool, field) == getattr(bench, field), (name, field)
 
 
 def test_checkout_against_itself(monkeypatch):

@@ -18,44 +18,62 @@ from mlswe.spatial import prepare_fields, viscous_coefficients
 SRC = Path(m.__file__).resolve().parents[1]
 
 
-def free_surface_band(W, fac):
-    """(3, M) band of 1 + fac (W_i + W_{i+1}) on the diagonal and -fac W
-    off it, in `scipy.linalg.solve_banded`'s (1, 1) layout."""
-    M = fac.size
-    ab = np.zeros((3, M))
-    ab[0, 1:] = -fac[:-1] * W[1:M]
-    ab[1] = 1.0 + fac * (W[:M] + W[1:])
-    ab[2, :-1] = -fac[1:] * W[1:M]
+def free_surface_diagonals(W, fac):
+    """(sub, diag, sup) of 1 + fac (W_i + W_{i+1}) on the diagonal and
+    -fac W off it; sub[0] and sup[-1] are the corners of the cyclic matrix."""
+    return -fac * W[:-1], 1.0 + fac * (W[:-1] + W[1:]), -fac * W[1:]
+
+
+def dense(sub, diag, sup, cyclic=False):
+    a = np.diag(diag) + np.diag(sup[:-1], 1) + np.diag(sub[1:], -1)
+    if cyclic:
+        a[0, -1] += sub[0]
+        a[-1, 0] += sup[-1]
+    return a
+
+
+def banded(sub, diag, sup):
+    """The (3, M) band of `scipy.linalg.solve_banded`'s (1, 1) layout."""
+    ab = np.zeros((3, diag.size))
+    ab[0, 1:], ab[1], ab[2, :-1] = sup[:-1], diag, sub[1:]
     return ab
 
 
-def dense(ab):
-    return np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
-
-
-def systems(uniform_fac, seed):
+def systems(uniform_fac, seed, sizes=(1, 2, 3, 8, 50, 200), cyclic=False):
     """Random free-surface systems, W >= 0 over six decades; a per-row fac
     makes them diagonally dominant by rows only, a uniform one by columns
-    too."""
+    too. A cyclic system has W[M] = W[0]."""
     rng = np.random.default_rng(seed)
-    for M in (1, 2, 3, 8, 50, 200):
+    for M in sizes:
         for scale in (1e-3, 1.0, 1e3):
             W = scale * rng.random(M + 1)
+            if cyclic:
+                W[M] = W[0]
             fac = np.full(M, rng.random()) if uniform_fac else rng.random(M)
-            yield free_surface_band(W, fac), rng.standard_normal(M)
+            yield free_surface_diagonals(W, fac), rng.standard_normal(M)
 
 
 def test_kernel_matches_dense_solve():
-    for ab, rhs in systems(uniform_fac=False, seed=1):
-        x = tridiag.solve_banded(tridiag.factor(ab), rhs)
-        want = np.linalg.solve(dense(ab), rhs)
-        assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want)), ab.shape
+    for diagonals, rhs in systems(uniform_fac=False, seed=1):
+        x = tridiag.solve_banded(tridiag.factor(*diagonals), rhs)
+        want = np.linalg.solve(dense(*diagonals), rhs)
+        assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want)), rhs.size
+
+
+def test_cyclic_kernel_matches_dense_cyclic_solve():
+    """A cyclic factorization carries its Sherman-Morrison correction, and
+    `solve_banded` applies it: the solution is that of the matrix with both
+    corners."""
+    for diagonals, rhs in systems(uniform_fac=False, seed=2,
+                                  sizes=(3, 4, 8, 50, 200), cyclic=True):
+        x = tridiag.solve_banded(tridiag.factor(*diagonals, cyclic=True), rhs)
+        want = np.linalg.solve(dense(*diagonals, cyclic=True), rhs)
+        assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want)), rhs.size
 
 
 def test_periodic_corner_update_matches_dense_cyclic_solve():
-    """The workspace's Sherman-Morrison pieces (the corner-modified matrix,
-    factored, its response z, r and v.z) solve the cyclic free-surface
-    system as a dense solve does."""
+    """The workspace's factors of a periodic grid solve the cyclic
+    free-surface system as a dense solve does."""
     mesh = m.build_mesh(0.0, 1.0, 24)
     layout = m.uniform_layout(mesh, 3)
     grid = m.Grid(mesh=mesh, layout=layout, params=m.PhysParams(nu=5e-4),
@@ -66,12 +84,9 @@ def test_periodic_corner_update_matches_dense_cyclic_solve():
     fs = prepare_fields(state, grid, 0.0)
     ws = build_implicit_workspace(grid, fs.h_half,
                                   viscous_coefficients(grid, fs.h_half, fs.u), 0.3)
-    W, fac, M = ws.W, ws.fac, mesh.M
-    A = dense(free_surface_band(W, fac))
-    A[0, -1], A[-1, 0] = -fac[0] * W[0], -fac[-1] * W[M]
-    rhs = np.random.default_rng(4).standard_normal(M)
+    A = dense(*free_surface_diagonals(ws.W, ws.fac), cyclic=True)
+    rhs = np.random.default_rng(4).standard_normal(mesh.M)
     eta = tridiag.solve_banded(ws.factors, rhs)
-    eta = eta - ws.z * ((eta[0] + ws.r * eta[-1]) / (1.0 + ws.v_z))
     want = np.linalg.solve(A, rhs)
     assert np.max(np.abs(eta - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -80,9 +95,9 @@ def test_kernel_equals_lapack_dgtsv_bitwise():
     """On a matrix dominant by columns dgtsv makes no row interchange, and
     the kernel performs its operations in its order."""
     sla = pytest.importorskip("scipy.linalg")
-    for ab, rhs in systems(uniform_fac=True, seed=5):
-        x = tridiag.solve_banded(tridiag.factor(ab), rhs)
-        assert np.array_equal(x, sla.solve_banded((1, 1), ab, rhs)), ab.shape
+    for diagonals, rhs in systems(uniform_fac=True, seed=5):
+        x = tridiag.solve_banded(tridiag.factor(*diagonals), rhs)
+        assert np.array_equal(x, sla.solve_banded((1, 1), banded(*diagonals), rhs)), rhs.size
 
 
 def test_mlswe_runs_without_importing_scipy(tmp_path):
