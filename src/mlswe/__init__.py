@@ -10,7 +10,7 @@ from .cases import (CASES, CaseSpec, build_problem, case_internal_wave,
                     case_lock_exchange, case_tidal,
                     lock_exchange_theoretical_speed)
 from .harness import (RunReport, RunResult, error_norms, front_positions,
-                      front_speed, project_state, run_case)
+                      front_speed, project_state, run_case, stream_case)
 from .integrators import (ButcherPair, IMEXIntegrator, RK3Integrator,
                           StepFailure, ark2_tableau, courant_dt,
                           courant_numbers, imex_ark2_step, rk3_step)
@@ -27,7 +27,7 @@ __all__ = [
     "periodic", "CASES", "CaseSpec", "build_problem", "case_internal_wave",
     "case_lock_exchange", "case_tidal", "lock_exchange_theoretical_speed",
     "RunReport", "RunResult", "error_norms", "front_positions", "front_speed",
-    "project_state", "run_case", "ButcherPair",
+    "project_state", "run_case", "stream_case", "ButcherPair",
     "IMEXIntegrator", "RK3Integrator", "StepFailure", "ark2_tableau",
     "courant_dt", "courant_numbers", "imex_ark2_step", "rk3_step",
     "LayerLayout", "LayoutError", "build_layout", "uniform_layout",

@@ -1,7 +1,8 @@
 """Command-line entry points.
 
 Subcommands:
-  run <case>            advance one benchmark case and write CSV snapshots
+  run <case>            advance one benchmark case, writing each CSV snapshot
+                        as it is taken
   analyze spectrum      eigenvalues of the linearized system for a profile
   analyze sweep         shear sweep across a thin middle layer (0.45, 0.1, 0.45)
   compare <run> <ref>   relative differences between two run directories
@@ -17,8 +18,8 @@ import sys
 import numpy as np
 
 from .cases import CASES, TIDAL_LAYOUTS
-from .csvio import load_run_states, output_root, write_run
-from .harness import run_case
+from .csvio import load_run_states, output_root, write_run_dir
+from .harness import stream_case
 from .integrators import INTEGRATORS
 from .linear import LinearModel, assemble_A, hyperbolicity_check, spectrum
 
@@ -81,10 +82,9 @@ def _cmd_run(args) -> int:
 
     spec = CASES[args.case](**kw)
 
-    result = run_case(spec)
+    grid, r, snapshots = stream_case(spec)
     out = output_root(args.out) / spec.name if args.out is None else args.out
-    write_run(result, out)
-    r = result.report
+    write_run_dir(out, spec, grid, snapshots, r)
     print(f"case={r.case} integrator={r.integrator} verdict={r.verdict} "
           f"t_end={r.t_end:.6g} steps={r.steps} "
           f"C_cel={r.max_ccel:.3g} C_vel={r.max_cvel:.3g}")
@@ -115,6 +115,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     rows = [("shear", "max_im_lambda")]
     for du in np.linspace(0.0, args.contrast_max, args.points):
         model = LinearModel(H=args.h, U=du * np.array([-0.5, 0.0, 0.5]),

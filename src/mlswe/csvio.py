@@ -1,9 +1,11 @@
 """CSV snapshot output and flat key-value run metadata.
 
 One CSV file per snapshot with columns (t, x, layer, field, value); floats
-are serialized with repr so they round-trip exactly. The output root comes
-from the MLSWE_OUTPUT_ROOT environment variable unless a directory is given
-explicitly.
+are serialized with repr so they round-trip exactly. `write_run_dir` is the
+one writer of a run directory: it writes each snapshot as it comes, from a
+live run (`harness.stream_case`) or a finished one (`write_run`). The output
+root comes from the MLSWE_OUTPUT_ROOT environment variable unless a
+directory is given explicitly.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from .harness import RunReport, RunResult
 
 OUTPUT_ROOT_ENV = "MLSWE_OUTPUT_ROOT"
 SNAPSHOT_COLUMNS = ("t", "x", "layer", "field", "value")
+_HEADER = ",".join(SNAPSHOT_COLUMNS) + "\r\n"
+_T = "{t}"  # the time in a row template, replaced once per block
 
 
 def output_root(explicit=None) -> Path:
@@ -29,23 +33,35 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
+def _snapshot_blocks(grid) -> list:
+    """The grid-static rows of a snapshot as (template, field, index)
+    blocks: eta, then each interface's u column and each cell's rho column.
+    A template's rows have the marker _T for t and %r for the value, so `%`
+    fills it from the values `state.<field>[index]`."""
+    mesh, layout = grid.mesh, grid.layout
+    xc, xi = mesh.x_center.tolist(), mesh.x_iface.tolist()
+    blocks = [("".join(f"{_T},{x!r},0,eta,%r\r\n" for x in xc), "eta", slice(None))]
+    for name, xs, counts in (("u", xi, layout.n_half.tolist()),
+                             ("rho", xc, layout.n_int.tolist())):
+        blocks += [("".join(f"{_T},{x!r},{a},{name},%r\r\n" for a in range(1, n + 1)),
+                    name, (slice(n), j)) for j, (x, n) in enumerate(zip(xs, counts))]
+    return blocks
+
+
+def _write_blocks(path, t, state, blocks) -> None:
+    ts = _fmt(t)
+    with open(path, "w", newline="") as f:
+        f.write(_HEADER)
+        for template, name, index in blocks:
+            f.write(template.replace(_T, ts) % tuple(getattr(state, name)[index].tolist()))
+
+
 def write_snapshot(path, t, state, grid) -> None:
     """Write one state as rows (t, x, layer, field, value), byte for byte as
     the csv module's writer would (no field needs quoting, CRLF line ends).
-    Rows are formatted a column at a time, so no copy of the file is held."""
-    mesh, layout = grid.mesh, grid.layout
-    ts = _fmt(t)
-    xc = [f"{ts},{x!r}," for x in mesh.x_center.tolist()]
-    xi = [f"{ts},{x!r}," for x in mesh.x_iface.tolist()]
-    with open(path, "w", newline="") as f:
-        f.write(",".join(SNAPSHOT_COLUMNS) + "\r\n")
-        f.writelines([f"{x}0,eta,{v!r}\r\n" for x, v in zip(xc, state.eta.tolist())])
-        for name, xs, counts, values in (
-                ("u", xi, layout.n_half.tolist(), state.u.T),
-                ("rho", xc, layout.n_int.tolist(), state.rho.T)):
-            for x, n, column in zip(xs, counts, values):
-                f.writelines([f"{x}{a},{name},{v!r}\r\n"
-                              for a, v in enumerate(column[:n].tolist(), 1)])
+    Each column block is formatted and written on its own, so no copy of
+    the file is held."""
+    _write_blocks(path, t, state, _snapshot_blocks(grid))
 
 
 def read_snapshot(path):
@@ -109,15 +125,28 @@ def write_case_metadata(path, spec) -> None:
         cp.write(f)
 
 
-def write_run(result: RunResult, out_dir) -> Path:
-    """Write snapshots, metadata and the run report under out_dir."""
+def write_run_dir(out_dir, spec, grid, snapshots, report) -> Path:
+    """Write each (t, state) of `snapshots` as it comes, then the case
+    metadata and the run report, under out_dir. `report` is read after the
+    last snapshot, so a live run (`harness.stream_case`) is written as it is
+    taken, with its complete report."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for k, (t, state) in enumerate(zip(result.times, result.states)):
-        write_snapshot(out / f"snapshot_{k:05d}.csv", t, state, result.grid)
-    write_case_metadata(out / "case.ini", result.spec)
-    write_report(out / "report.ini", result.report)
+    blocks = _snapshot_blocks(grid)
+    k = 0
+    for t, state in snapshots:  # enumerate would keep each state until the next
+        _write_blocks(out / f"snapshot_{k:05d}.csv", t, state, blocks)
+        del state  # the run steps on from here: hold no second state meanwhile
+        k += 1
+    write_case_metadata(out / "case.ini", spec)
+    write_report(out / "report.ini", report)
     return out
+
+
+def write_run(result: RunResult, out_dir) -> Path:
+    """Write a finished run's snapshots, metadata and report under out_dir."""
+    return write_run_dir(out_dir, result.spec, result.grid,
+                         zip(result.times, result.states), result.report)
 
 
 def load_run_states(run_dir):

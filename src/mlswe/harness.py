@@ -1,4 +1,5 @@
-"""Run orchestration: stepping loop, error norms, front-speed measurement
+"""Run orchestration: the stepping loop (`stream_case` yields each snapshot
+as it is taken, `run_case` keeps them), error norms, front-speed measurement
 and layout projection for mixed-layer-count comparisons."""
 
 from __future__ import annotations
@@ -48,24 +49,32 @@ class RunResult:
         return self.states[k]
 
 
-def run_case(spec: CaseSpec, grid: Grid | None = None,
-             state: State | None = None) -> RunResult:
-    """Advance a case to t_final, saving snapshots at the output cadence.
-
-    Instability (non-finite fields, dry cells, runaway velocities) is
-    recorded in the report verdict instead of raising.
+def stream_case(spec: CaseSpec, grid: Grid | None = None,
+                state: State | None = None):
+    """(grid, report, snapshots) of a run not yet started. Iterating
+    `snapshots` steps the case to t_final, yielding the run's own (t, state)
+    at the output cadence: the start first, then the final state if it falls
+    off the cadence. A consumer that still holds a yielded state when it
+    asks for the next one keeps it alive beside the run's (`run_case` and
+    `csvio.write_run_dir` drop it). `report` is complete once `snapshots` is
+    exhausted; its wall_time counts stepping alone, not the consumer's time
+    between snapshots. Instability (non-finite fields, dry cells, runaway
+    velocities) ends the run with the verdict "unstable" instead of raising.
     """
     if grid is None or state is None:
         grid, state = build_problem(spec)
     integ = INTEGRATORS[spec.integrator](grid, limiter=spec.limiter)
-
     report = RunReport(case=spec.name, integrator=spec.integrator)
+    return grid, report, _advance(spec, grid, state, integ, report)
+
+
+def _advance(spec, grid, state, integ, report):
+    """The stepping loop behind `stream_case`."""
     vol0 = total_volume(state, grid.mesh)
     dm0 = total_density_mass(state, grid.mesh, grid.layout)
 
-    t = 0.0
-    times = [0.0]
-    states = [state.copy()]
+    t = t_out = 0.0
+    yield t, state
     next_out = spec.output_interval
     t_start = time.perf_counter()
     eps = 1e-9 * max(spec.t_final, 1.0)
@@ -94,13 +103,11 @@ def run_case(spec: CaseSpec, grid: Grid | None = None,
         report.max_ccel = max(report.max_ccel, courant[0] * dt)
         report.max_cvel = max(report.max_cvel, courant[1] * dt)
         if t >= next_out - eps:
-            times.append(t)
-            states.append(state.copy())
+            paused = time.perf_counter()
+            yield t, state
+            t_start += time.perf_counter() - paused
+            t_out = t
             next_out += spec.output_interval
-
-    if report.verdict == "completed" and abs(times[-1] - t) > eps:
-        times.append(t)
-        states.append(state.copy())
 
     report.t_end = t
     report.wall_time = time.perf_counter() - t_start
@@ -113,6 +120,20 @@ def run_case(spec: CaseSpec, grid: Grid | None = None,
         # relative to the larger content: 1 from an empty start, 0 if both are empty
         scale = max(abs(dm0), abs(dm1))
         report.density_mass_drift = abs(dm1 - dm0) / scale if scale > 0 else 0.0
+        if abs(t_out - t) > eps:
+            yield t, state
+
+
+def run_case(spec: CaseSpec, grid: Grid | None = None,
+             state: State | None = None) -> RunResult:
+    """Advance a case to t_final, keeping a copy of every snapshot of
+    `stream_case` (see there)."""
+    grid, report, snapshots = stream_case(spec, grid, state)
+    times, states = [], []
+    for t, s in snapshots:
+        times.append(t)
+        states.append(s.copy())
+        del s  # the run steps on from here: hold no second state meanwhile
     return RunResult(spec=spec, grid=grid, times=times, states=states,
                      report=report)
 

@@ -31,6 +31,9 @@ class LinearModel:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        for name in ("U", "rho"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite, got {getattr(self, name).tolist()}")
         if not (self.U.shape == self.rho.shape == self.l.shape):
             raise ValueError("U, rho, l must have the same length")
         if np.any(self.l <= 0.0):

@@ -73,11 +73,22 @@ def test_sweep_shows_loss_across_thin_middle_layer(tmp_path):
     assert float(rows[-1][0]) == 1.0 and im[-1] > 0.2
 
 
+def test_sweep_needs_at_least_one_point(tmp_path, capsys):
+    """--points 0 used to print the CSV header alone, with exit code 0."""
+    out = tmp_path / "sweep.csv"
+    assert main(["analyze", "sweep", "--points", "0", "--out", str(out)]) == 1
+    assert "error: --points must be at least 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["analyze", "sweep", "--points", "1", "--out", str(out)]) == 0
+    with open(out, newline="") as f:
+        assert list(csv.reader(f)) == [["shear", "max_im_lambda"], ["0.0", "0.0"]]
+
+
 def test_run_rejects_zero_time_step(tmp_path, capsys, monkeypatch):
     def no_run(spec):
         raise AssertionError("a run was started")
 
-    monkeypatch.setattr(cli, "run_case", no_run)
+    monkeypatch.setattr(cli, "stream_case", no_run)
     rc = main(["run", "lock_exchange", "--dt", "0", "--out", str(tmp_path / "x")])
     assert rc == 1
     assert "dt must be positive and finite" in capsys.readouterr().err
@@ -89,7 +100,7 @@ def test_run_takes_dt_or_ccel_not_both(tmp_path, capsys, monkeypatch):
     def no_run(spec):
         raise AssertionError("a run was started")
 
-    monkeypatch.setattr(cli, "run_case", no_run)
+    monkeypatch.setattr(cli, "stream_case", no_run)
     with pytest.raises(SystemExit):
         main(["run", "lock_exchange", "--dt", "0.1", "--ccel", "0.9",
               "--out", str(tmp_path / "x")])
@@ -105,7 +116,7 @@ def test_run_layout_is_for_the_tidal_case_only(tmp_path, capsys, monkeypatch):
         names.append(spec.name)
         raise ValueError("not run")
 
-    monkeypatch.setattr(cli, "run_case", no_run)
+    monkeypatch.setattr(cli, "stream_case", no_run)
     assert main(["run", "tidal", "--layout", "nvar4"]) == 1
     assert main(["run", "tidal"]) == 1
     assert names == ["tidal_nvar4", "tidal_uniform"]
@@ -139,10 +150,12 @@ def test_error_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value, match", [
     ("l", "1.0, 0.0", "layer fractions must be positive"),
-    ("g", "-9.81", "g must be positive")])
+    ("g", "-9.81", "g must be positive"),
+    ("u", "nan, 0.2", "U must be finite")])
 def test_spectrum_rejects_a_bad_profile(tmp_path, capsys, key, value, match):
     """A zero layer fraction used to end in numpy warnings and a LinAlgError,
-    and a negative g in a printed spectrum and exit code 0."""
+    a negative g in a printed spectrum and exit code 0, and a NaN velocity
+    in numpy's "Array must not contain infs or NaNs"."""
     values = {"h": "1.0", "g": "9.81", "u": "0.2, 0.2", "rho": "0.0, 0.0",
               "l": "0.5, 0.5", key: value}
     profile = tmp_path / "profile.ini"

@@ -1,10 +1,11 @@
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mlswe as m
-from mlswe import csvio
+from mlswe import cli, csvio
 from mlswe.harness import RunReport
 
 
@@ -113,3 +114,44 @@ def test_snapshot_bytes_match_csv_writer(tmp_path):
     csvio.write_snapshot(fast, 3.0e7 + 1.0 / 3.0, state, grid)
     _csv_writer_snapshot(slow, 3.0e7 + 1.0 / 3.0, state, grid)
     assert fast.read_bytes() == slow.read_bytes()
+
+
+def run_dir_bytes(run_dir) -> dict:
+    """Each file of a run directory by name, with the wall_time line of
+    report.ini left out (it is the only one that varies between runs)."""
+    files = {}
+    for path in sorted(Path(run_dir).iterdir()):
+        lines = path.read_bytes().splitlines(keepends=True)
+        if path.name == "report.ini":
+            lines = [line for line in lines if not line.startswith(b"wall_time")]
+        files[path.name] = b"".join(lines)
+    return files
+
+
+@pytest.mark.parametrize("spec", [
+    m.case_internal_wave(M=30, t_final=0.3, output_interval=0.08),
+    m.case_tidal("nvar4", M=40, t_final=3 * 3600.0 + 600.0),
+    m.case_internal_wave(dt=0.2, t_final=4.0, output_interval=0.2),
+], ids=["internal_wave", "tidal_nvar4", "unstable"])
+def test_streamed_run_dir_matches_the_finished_run(tmp_path, spec):
+    """A run written as it is taken is the finished run's directory, byte for
+    byte: the snapshots (the last one off the cadence, or none past the
+    failure), case.ini and report.ini."""
+    grid, report, snapshots = m.stream_case(spec)
+    csvio.write_run_dir(tmp_path / "stream", spec, grid, snapshots, report)
+    result = m.run_case(spec)
+    csvio.write_run(result, tmp_path / "done")
+    streamed, done = run_dir_bytes(tmp_path / "stream"), run_dir_bytes(tmp_path / "done")
+    assert list(streamed) == list(done)
+    assert len(done) == len(result.times) + 2
+    assert streamed == done
+
+
+def test_cli_run_dir_matches_the_finished_run(tmp_path, capsys):
+    """`mlswe run` streams its snapshots; an unstable internal wave still
+    writes what `write_run(run_case(spec))` writes, and exits 2."""
+    out = tmp_path / "cli"
+    assert cli.main(["run", "internal_wave", "--dt", "0.09", "--out", str(out)]) == 2
+    assert "verdict=unstable" in capsys.readouterr().out
+    csvio.write_run(m.run_case(m.case_internal_wave(dt=0.09)), tmp_path / "done")
+    assert run_dir_bytes(out) == run_dir_bytes(tmp_path / "done")

@@ -1,7 +1,12 @@
+import time
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
 import mlswe as m
+from mlswe import csvio, harness
 from mlswe.harness import RunResult
 
 
@@ -171,6 +176,74 @@ def test_run_case_flags_instability():
     spec = m.case_internal_wave(dt=0.2, t_final=4.0)
     result = m.run_case(spec)
     assert result.report.verdict == "unstable"
+
+
+def test_streamed_run_holds_no_list_of_states(tmp_path):
+    """Written as it is taken, a run keeps no snapshot: 41 snapshots of the
+    same 40 steps peak less than one state above 3."""
+    def streamed(interval, out):
+        spec = m.case_internal_wave(t_final=1.6, output_interval=interval)
+        tracemalloc.start()
+        try:
+            grid, report, snapshots = m.stream_case(spec)
+            csvio.write_run_dir(out, spec, grid, snapshots, report)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.verdict == "completed" and report.steps == 40
+        return len(list(out.glob("snapshot_*.csv"))), peak
+
+    state = m.build_problem(m.case_internal_wave())[1]
+    state_bytes = state.eta.nbytes + state.u.nbytes + state.rho.nbytes
+    streamed(0.8, tmp_path / "warm-up")
+    few, many = streamed(0.8, tmp_path / "few"), streamed(0.04, tmp_path / "many")
+    assert (few[0], many[0]) == (3, 41)
+    assert many[1] - few[1] < state_bytes
+
+
+@pytest.mark.parametrize("consumer", ["write_run_dir", "run_case"])
+def test_no_snapshot_outlives_the_step_past_it(tmp_path, monkeypatch, consumer):
+    """A consumer lets go of each yielded state before the run steps on, so
+    between snapshots a run holds the state it steps from and no other."""
+    yielded, held = [], []
+    step = m.IMEXIntegrator.step
+
+    def watched_step(self, state, t, dt):
+        held.append(sum(r() is not None and r() is not state for r in yielded))
+        return step(self, state, t, dt)
+
+    def watch(snapshot):
+        yielded.append(weakref.ref(snapshot[1]))
+        return snapshot
+
+    def watched_stream(*args):
+        grid, report, snapshots = stream(*args)
+        return grid, report, map(watch, snapshots)
+
+    stream = harness.stream_case
+    monkeypatch.setattr(m.IMEXIntegrator, "step", watched_step)
+    monkeypatch.setattr(harness, "stream_case", watched_stream)
+    spec = m.case_internal_wave(M=20, t_final=0.2, output_interval=0.08)
+    if consumer == "run_case":
+        m.run_case(spec)
+    else:
+        grid, report, snapshots = harness.stream_case(spec)
+        csvio.write_run_dir(tmp_path, spec, grid, snapshots, report)
+    assert len(yielded) == 4 and held == [0] * 5
+
+
+def test_wall_time_is_stepping_time_only():
+    """A consumer that sleeps between snapshots does not lengthen the
+    reported wall time."""
+    spec = m.case_internal_wave(M=20, t_final=0.2, output_interval=0.04)
+    _, report, snapshots = m.stream_case(spec)
+    pause = 0.1
+    taken = 0
+    for _ in snapshots:
+        time.sleep(pause)
+        taken += 1
+    assert taken == 6 and report.steps == 5
+    assert 0.0 < report.wall_time < taken * pause / 2
 
 
 def test_run_case_adaptive_respects_target():

@@ -174,10 +174,13 @@ def test_model_validation():
     ({"g": 0.0}, "g must be positive"),
     ({"H": 0.0}, "H must be positive"),
     ({"H": float("nan")}, "H must be positive"),
+    ({"U": [float("nan"), 0.2]}, "U must be finite"),
+    ({"rho": [0.0, float("inf")]}, "rho must be finite"),
 ])
 def test_model_refuses_non_positive_fractions_depth_and_gravity(bad, match):
-    """A zero fraction used to divide by zero in `assemble_A`, and a
-    negative g gave a spectrum; the model now refuses both when built."""
+    """A zero fraction used to divide by zero in `assemble_A`, a negative g
+    gave a spectrum and a NaN velocity reached numpy's eigenvalue solver;
+    the model now refuses them when built."""
     kw = {"H": 1.0, "U": [0.2, 0.2], "rho": [0.0, 0.0], "l": [0.5, 0.5], "g": 9.81, **bad}
     with pytest.raises(ValueError, match=match):
         LinearModel(**kw)
