@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import sys
 
 import numpy as np
 
 from .cases import CASES, TIDAL_LAYOUTS
-from .csvio import load_run_states, output_root, write_run_dir
+from .csvio import output_root, read_snapshot, run_snapshots, write_run_dir
 from .harness import stream_case
 from .integrators import INTEGRATORS
 from .linear import LinearModel, assemble_A, hyperbolicity_check, spectrum
@@ -88,6 +89,8 @@ def _cmd_run(args) -> int:
     print(f"case={r.case} integrator={r.integrator} verdict={r.verdict} "
           f"t_end={r.t_end:.6g} steps={r.steps} "
           f"C_cel={r.max_ccel:.3g} C_vel={r.max_cvel:.3g}")
+    if r.failure:
+        print(f"failure: {r.failure}")
     return 0 if r.verdict == "completed" else 2
 
 
@@ -128,27 +131,21 @@ def _cmd_sweep(args) -> int:
 
 
 def _emit_csv(rows, out) -> None:
-    if out is None:
-        w = csv.writer(sys.stdout)
-        for row in rows:
-            w.writerow(row)
-    else:
-        with open(out, "w", newline="") as f:
-            w = csv.writer(f)
-            for row in rows:
-                w.writerow(row)
+    with (contextlib.nullcontext(sys.stdout) if out is None
+          else open(out, "w", newline="")) as f:
+        csv.writer(f).writerows(rows)
 
 
 def _cmd_compare(args) -> int:
-    times_a, snaps_a = load_run_states(args.run_dir)
-    times_b, snaps_b = load_run_states(args.ref_dir)
+    times_a, paths_a = run_snapshots(args.run_dir)
+    times_b, paths_b = run_snapshots(args.ref_dir)
     common = sorted(set(np.round(times_a, 9)) & set(np.round(times_b, 9)))
     if not common:
         print("no common snapshot times", file=sys.stderr)
         return 1
     t = common[-1]
-    a = snaps_a[int(np.argmin(np.abs(np.asarray(times_a) - t)))]
-    b = snaps_b[int(np.argmin(np.abs(np.asarray(times_b) - t)))]
+    _, a = read_snapshot(paths_a[int(np.argmin(np.abs(np.asarray(times_a) - t)))])
+    _, b = read_snapshot(paths_b[int(np.argmin(np.abs(np.asarray(times_b) - t)))])
     w = csv.writer(sys.stdout)
     w.writerow(("t", "field", "rel_l2", "rel_linf"))
     for fname in sorted(set(a) & set(b)):

@@ -3,9 +3,11 @@
 One CSV file per snapshot with columns (t, x, layer, field, value); floats
 are serialized with repr so they round-trip exactly. `write_run_dir` is the
 one writer of a run directory: it writes each snapshot as it comes, from a
-live run (`harness.stream_case`) or a finished one (`write_run`). The output
-root comes from the MLSWE_OUTPUT_ROOT environment variable unless a
-directory is given explicitly.
+live run (`harness.stream_case`) or a finished one (`write_run`), then
+`case.ini` and `report.ini`. `run_snapshots` indexes a run directory by the
+time in each file's first row, so a reader parses only the files it needs.
+The output root comes from the MLSWE_OUTPUT_ROOT environment variable unless
+a directory is given explicitly.
 """
 
 from __future__ import annotations
@@ -94,6 +96,7 @@ def write_report(path, report: RunReport) -> None:
         "max_cvel": _fmt(report.max_cvel),
         "volume_drift": _fmt(report.volume_drift),
         "density_mass_drift": _fmt(report.density_mass_drift),
+        "failure": report.failure,
     }
     with open(path, "w") as f:
         cp.write(f)
@@ -149,16 +152,16 @@ def write_run(result: RunResult, out_dir) -> Path:
                          zip(result.times, result.states), result.report)
 
 
-def load_run_states(run_dir):
-    """(times, snapshot dicts) from a run directory, ordered by index."""
+def run_snapshots(run_dir):
+    """(times, paths) of a run directory's snapshots, ordered by index; each
+    time is read from its file's first data row."""
     run = Path(run_dir)
     paths = sorted(run.glob("snapshot_*.csv"))
     if not paths:
         raise FileNotFoundError(f"no snapshots in {run}")
     times = []
-    snaps = []
     for p in paths:
-        t, fields = read_snapshot(p)
-        times.append(t)
-        snaps.append(fields)
-    return times, snaps
+        with open(p, newline="") as f:
+            f.readline()  # the header; read_snapshot checks it
+            times.append(float(f.readline().split(",", 1)[0]))
+    return times, paths

@@ -10,12 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cases import CaseSpec, build_problem
-from .integrators import INTEGRATORS, StepFailure, courant_dt, courant_numbers
+from .integrators import INTEGRATORS, courant_dt, courant_numbers
 from .layers import LayerLayout, refine_parent
 from .spatial import Grid
-from .state import DryStateError, State, total_density_mass, total_volume
-
-_U_BLOWUP = 1e3  # a velocity beyond this (m/s) counts as blown up
+from .state import State, StepFailure, total_density_mass, total_volume
 
 
 @dataclass
@@ -32,6 +30,7 @@ class RunReport:
     max_cvel: float = 0.0
     volume_drift: float = 0.0           # relative, vs initial
     density_mass_drift: float = 0.0
+    failure: str = ""                   # where an unstable run failed
 
 
 @dataclass
@@ -58,11 +57,16 @@ def stream_case(spec: CaseSpec, grid: Grid | None = None,
     asks for the next one keeps it alive beside the run's (`run_case` and
     `csvio.write_run_dir` drop it). `report` is complete once `snapshots` is
     exhausted; its wall_time counts stepping alone, not the consumer's time
-    between snapshots. Instability (non-finite fields, dry cells, runaway
-    velocities) ends the run with the verdict "unstable" instead of raising.
+    between snapshots. A step's StepFailure (a non-finite value, a dry cell,
+    a runaway velocity) ends the run with the verdict "unstable" instead of
+    raising, and `report.failure` says at which step and time, and where. A
+    start state given here is validated first: a bad one raises StepFailure,
+    named before a step can spread it.
     """
     if grid is None or state is None:
         grid, state = build_problem(spec)
+    else:
+        state.validate(grid.mesh, grid.layout)
     integ = INTEGRATORS[spec.integrator](grid, limiter=spec.limiter)
     report = RunReport(case=spec.name, integrator=spec.integrator)
     return grid, report, _advance(spec, grid, state, integ, report)
@@ -89,14 +93,11 @@ def _advance(spec, grid, state, integ, report):
             dt = courant_dt(courant[0], spec.target_ccel)
         dt = min(dt, spec.t_final - t, next_out - t)
         try:
-            new_state = integ.step(state, t, dt)
-        except (StepFailure, DryStateError):
+            state = integ.step(state, t, dt)
+        except StepFailure as exc:
             report.verdict = "unstable"
+            report.failure = f"step {report.steps + 1} at t={t!r}: {exc}"
             break
-        if np.abs(new_state.u).max() > _U_BLOWUP:
-            report.verdict = "unstable"
-            break
-        state = new_state
         t += dt
         report.steps += 1
         courant = courant_numbers(state, grid, 1.0)

@@ -45,7 +45,7 @@ from .spatial import (Grid, VerticalOperator, boundary_velocities,
                       momentum_nonstiff, momentum_stiff, prepare_fields,
                       upwind_interface, vertical_density_term,
                       viscous_coefficients, viscous_exchange)
-from .state import State
+from .state import U_MAX, State, check_state
 # bench/spans.py traces the free-surface solve as sla.solve_banded and the
 # column solve as _thomas
 from . import tridiag as sla
@@ -62,10 +62,6 @@ SQRT2 = np.sqrt(2.0)
 # mallopt(3)); this 2 MiB array, freed at once, keeps the step's churn in
 # the heap. Under other allocators it is one short-lived allocation.
 np.empty(1 << 18)
-
-
-class StepFailure(RuntimeError):
-    """A time step produced a non-finite or dry state."""
 
 
 @dataclass(frozen=True)
@@ -132,14 +128,6 @@ def courant_dt(c: float, target: float, dt_max: float = np.inf) -> float:
     return float(min(target / c, dt_max))
 
 
-def _check_state(state: State, grid: Grid) -> State:
-    if not state.all_finite():
-        raise StepFailure("non-finite field value")
-    if (state.eta - grid.mesh.b <= grid.h_min).any():
-        raise StepFailure("water depth below h_min")
-    return state
-
-
 def _density(content, eta, grid: Grid) -> np.ndarray:
     """Density of the live cell layers from their content rho*l*h (zero
     above the live layers, like the content)."""
@@ -177,8 +165,9 @@ class RK3Integrator:
         grid = self.grid
         r0 = grid.layout.l_int * (state.eta - grid.mesh.b) * state.rho
         stage, r = state, r0
-        # Shu-Osher rows: y_s = w y^n + (1 - w) (y_{s-1} + dt L(y_{s-1}, t + c dt))
-        for w, c in ((0.0, 0.0), (0.75, 1.0), (1.0 / 3.0, 0.5)):
+        # Shu-Osher rows: y_s = w y^n + (1 - w) (y_{s-1} + dt L(y_{s-1}, t + c dt));
+        # the last stage is the step's result, whose |u| is bounded
+        for w, c, u_max in ((0.0, 0.0, None), (0.75, 1.0, None), (1.0 / 3.0, 0.5, U_MAX)):
             self.n_rhs += 1
             tend = compute_tendencies(stage, grid, t + c * dt, limiter=self.limiter)
             eta = stage.eta + dt * tend.d_eta
@@ -188,7 +177,8 @@ class RK3Integrator:
                 eta = w * state.eta + (1.0 - w) * eta
                 u = w * state.u + (1.0 - w) * u
                 r = w * r0 + (1.0 - w) * r
-            stage = _check_state(State(eta, u, _density(r, eta, grid)), grid)
+            stage = State(eta, u, _density(r, eta, grid))
+            check_state(eta - grid.mesh.b, grid.h_min, u, stage.rho, u_max)
         if grid.bounds.periodic:
             stage.u[:, -1] = stage.u[:, 0]
         return stage
@@ -345,8 +335,7 @@ class IMEXIntegrator:
             u_e = state.u + dt * _combine([*zip(a[s, :s], N), *zip(ai[s, :s], S_u)])
             eta, u = implicit_stage_solve(grid, ws, eta_e, u_e, t_s)
             self.n_implicit += 1
-            if (eta - grid.mesh.b <= grid.h_min).any() or not np.isfinite(eta).all():
-                raise StepFailure("implicit stage produced a dry or non-finite state")
+            check_state(eta - grid.mesh.b, grid.h_min)
             if s == 1:  # stage 3 reads stage 2's stiff tendency; none reads stage 3's
                 S_u.append((u - u_e) / gamma_dt)
                 S_eta.append((eta - eta_e) / gamma_dt)
@@ -377,7 +366,9 @@ class IMEXIntegrator:
         if grid.bounds.periodic:
             u_new[:, -1] = u_new[:, 0]
         content = lh_rho_n + dt * _combine(zip(b, [h + v for h, v in zip(H, V)]))
-        return _check_state(State(eta, u_new, _density(content, eta, grid)), grid)
+        rho = _density(content, eta, grid)
+        check_state(eta - grid.mesh.b, grid.h_min, u_new, rho, U_MAX)
+        return State(eta, u_new, rho)
 
 
 def imex_ark2_step(state: State, grid: Grid, t: float, dt: float,

@@ -36,7 +36,7 @@ import numpy as np
 from .bc import Boundaries, closed
 from .layers import LayerLayout
 from .mesh import Mesh1D
-from .state import H_MIN_DEFAULT, DryStateError, PhysParams, State
+from .state import H_MIN_DEFAULT, PhysParams, State, check_state
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -342,8 +342,7 @@ def prepare_fields(state: State, grid: Grid, t: float, u_full=None) -> FieldSet:
     u_full, eta_g, rho_g = boundary_values(state, grid, t, u_full)
 
     h_g = eta_g - grid.b_g
-    if (h_g[1:-1] <= grid.h_min).any():
-        raise DryStateError("water depth below h_min")
+    check_state(h_g[1:-1], grid.h_min)
 
     ubar = (layout.l_half * u_full).sum(axis=0)
     h_half = upwind_interface(h_g[:-1], h_g[1:], ubar)

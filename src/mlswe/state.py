@@ -7,10 +7,35 @@ from dataclasses import dataclass, field
 import numpy as np
 
 H_MIN_DEFAULT = 1e-6
+U_MAX = 1e3  # a step's velocity beyond this (m/s) counts as blown up
 
 
-class DryStateError(RuntimeError):
-    """Raised when the water column becomes thinner than h_min."""
+class StepFailure(RuntimeError):
+    """A state that cannot be stepped on: a non-finite value, a dry cell or a
+    runaway velocity, at the flat index `flat` of the array `a` checked.
+    `field`, `layer` (None for eta), `column` and `value` (the depth, for a
+    dry cell) say where and what."""
+
+    def __init__(self, reason: str, field: str, a: np.ndarray, flat: int):
+        *layer, column = index = [int(i) for i in np.unravel_index(flat, a.shape)]
+        self.reason, self.field, self.value = reason, field, float(a.flat[flat])
+        self.layer, self.column = layer[0] if layer else None, column
+        super().__init__(f"{reason} at {field}{index}: {self.value:.6g}")
+
+
+def check_state(h, h_min: float, u=None, rho=None, u_max=None) -> None:
+    """Raise StepFailure if the state of depth h = eta - b (and u and rho,
+    where given) has a non-finite value, a depth at or below h_min, or, where
+    u_max is given, a velocity beyond it; the tests run in that order and
+    only a failed one locates its offender (the first non-finite value in
+    (layer, column) order, the shallowest cell, the largest |u|)."""
+    for name, a in (("eta", h), ("u", u), ("rho", rho)):
+        if a is not None and not np.isfinite(a).all():
+            raise StepFailure("non-finite value", name, a, np.argmin(np.isfinite(a)))
+    if (h <= h_min).any():
+        raise StepFailure(f"depth at or below h_min={h_min:g}", "eta", h, np.argmin(h))
+    if u_max is not None and np.abs(u).max() > u_max:
+        raise StepFailure(f"|u| beyond {u_max:g}", "u", u, np.argmax(np.abs(u)))
 
 
 @dataclass
@@ -39,16 +64,7 @@ class State:
             raise ValueError("state arrays inconsistent with mesh/layout")
         if self.u.shape != (n_max, M + 1):
             raise ValueError("velocity array inconsistent with mesh/layout")
-        h = self.depth(mesh)
-        if not np.all(np.isfinite(h)):
-            raise DryStateError("non-finite free surface")
-        if np.any(h <= H_MIN_DEFAULT):
-            i = int(np.argmin(h))
-            raise DryStateError(f"layer depth {h[i]:.3e} <= h_min at cell {i}")
-
-    def all_finite(self) -> bool:
-        return bool(np.isfinite(self.eta).all() and np.isfinite(self.u).all()
-                    and np.isfinite(self.rho).all())
+        check_state(self.depth(mesh), H_MIN_DEFAULT, self.u, self.rho)
 
 
 def rest_state(mesh, layout, eta0=0.0) -> State:

@@ -46,7 +46,8 @@ def test_report_round_trip(tmp_path):
     report = RunReport(case="demo", integrator="imex", steps=7, n_rhs=21,
                        n_implicit=14, wall_time=0.5, verdict="completed",
                        t_end=1.25, max_ccel=0.3125, max_cvel=0.0625,
-                       volume_drift=1.5e-13, density_mass_drift=2.5e-12)
+                       volume_drift=1.5e-13, density_mass_drift=2.5e-12,
+                       failure="step 8 at t=1.25: non-finite value at rho[2, 5]: nan")
     path = tmp_path / "report.ini"
     csvio.write_report(path, report)
     data = csvio.read_report(path)
@@ -55,15 +56,16 @@ def test_report_round_trip(tmp_path):
     assert int(r["steps"]) == 7 and int(r["rhs_evaluations"]) == 21
     assert float(r["t_end"]) == 1.25
     assert float(r["volume_drift"]) == 1.5e-13
+    assert r["failure"] == report.failure
     assert list(data) == ["report"]
 
 
 def test_write_run_and_load(tmp_path, tiny_result):
     out = csvio.write_run(tiny_result, tmp_path / "run")
     assert (out / "case.ini").exists() and (out / "report.ini").exists()
-    times, snaps = csvio.load_run_states(out)
-    assert times == pytest.approx(tiny_result.times)
-    assert len(snaps) == len(tiny_result.states)
+    times, paths = csvio.run_snapshots(out)
+    assert times == tiny_result.times
+    assert [csvio.read_snapshot(p)[0] for p in paths] == times
     meta = csvio.read_report(out / "case.ini")["case"]
     assert meta["name"] == "internal_wave"
     assert int(meta["cells"]) == 10
@@ -72,7 +74,27 @@ def test_write_run_and_load(tmp_path, tiny_result):
 
 def test_load_run_states_missing(tmp_path):
     with pytest.raises(FileNotFoundError):
-        csvio.load_run_states(tmp_path)
+        csvio.run_snapshots(tmp_path)
+
+
+def test_compare_parses_only_the_pair_it_compares(tmp_path, tiny_result, monkeypatch,
+                                                   capsys):
+    """Two runs of 3 snapshots each: `mlswe compare` parses the last common
+    snapshot of each, and no other."""
+    csvio.write_run(tiny_result, tmp_path / "a")
+    csvio.write_run(tiny_result, tmp_path / "b")
+    parsed = []
+
+    def counting(path):
+        parsed.append(Path(path).relative_to(tmp_path).as_posix())
+        return csvio.read_snapshot(path)
+
+    monkeypatch.setattr(cli, "read_snapshot", counting)
+    assert cli.main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    assert parsed == ["a/snapshot_00002.csv", "b/snapshot_00002.csv"]
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "t,field,rel_l2,rel_linf" and len(rows) == 4
+    assert all(row.endswith(",0.0,0.0") for row in rows[1:])
 
 
 def test_output_root(tmp_path, monkeypatch):
@@ -152,6 +174,8 @@ def test_cli_run_dir_matches_the_finished_run(tmp_path, capsys):
     writes what `write_run(run_case(spec))` writes, and exits 2."""
     out = tmp_path / "cli"
     assert cli.main(["run", "internal_wave", "--dt", "0.09", "--out", str(out)]) == 2
-    assert "verdict=unstable" in capsys.readouterr().out
+    printed = capsys.readouterr().out.splitlines()
+    assert "verdict=unstable" in printed[0]
+    assert printed[1].startswith("failure: step 29 at t=2.2699999999999996: ")
     csvio.write_run(m.run_case(m.case_internal_wave(dt=0.09)), tmp_path / "done")
     assert run_dir_bytes(out) == run_dir_bytes(tmp_path / "done")

@@ -178,6 +178,42 @@ def test_run_case_flags_instability():
     assert result.report.verdict == "unstable"
 
 
+@pytest.mark.parametrize("kwargs, steps, t_end, n_rhs, failure", [
+    # acceptance 06's onset run: the velocity bound on the result of step 54
+    # ends it, after all three of its right-hand sides
+    (dict(dt=0.09, t_final=10.0, output_interval=4.8), 53, 4.77, 3 * 54,
+     "step 54 at t=4.769999999999997: |u| beyond 1000 at u[24, 197]: -688736"),
+    # at the default cadence the depth check of step 29's second implicit
+    # stage ends it, before that stage's right-hand side
+    (dict(dt=0.09), 28, 2.27, 3 * 28 + 2,
+     "step 29 at t=2.2699999999999996: depth at or below h_min=1e-06 at "
+     "eta[46]: -1.34515"),
+], ids=["acceptance_06", "stage_depth"])
+def test_unstable_run_reports_where_it_failed(kwargs, steps, t_end, n_rhs, failure):
+    report = m.run_case(m.case_internal_wave(**kwargs)).report
+    assert report.verdict == "unstable"
+    assert report.steps == steps and report.t_end == pytest.approx(t_end)
+    assert report.n_rhs == n_rhs and report.failure == failure
+
+
+def test_completed_run_reports_no_failure():
+    report = m.run_case(m.case_internal_wave(t_final=0.4)).report
+    assert report.verdict == "completed" and report.failure == ""
+
+
+def test_non_finite_start_is_named_before_a_step():
+    """A NaN in rho spreads into u (RK3) or eta (IMEX, through the implicit
+    solve) within one step, so the start is checked before the first."""
+    spec = m.case_internal_wave(M=20)
+    grid, state = m.build_problem(spec)
+    state.rho[3, 7] = np.nan
+    with pytest.raises(m.StepFailure) as failure:
+        m.stream_case(spec, grid, state)
+    f = failure.value
+    assert (f.reason, f.field, f.layer, f.column) == ("non-finite value", "rho", 3, 7)
+    assert np.isnan(f.value) and "rho[3, 7]" in str(f)
+
+
 def test_streamed_run_holds_no_list_of_states(tmp_path):
     """Written as it is taken, a run keeps no snapshot: 41 snapshots of the
     same 40 steps peak less than one state above 3."""

@@ -491,12 +491,13 @@ def test_viscous_exchange_is_the_flux_form(name):
 
 
 def test_dry_state_raises():
-    from mlswe import DryStateError
+    from mlswe import StepFailure
     grid = make_grid()
     st = rest_state(grid.mesh, grid.layout, eta0=0.4)
     st.eta[3] = -1.0
-    with pytest.raises(DryStateError):
+    with pytest.raises(StepFailure) as failure:
         prepare_fields(st, grid, 0.0)
+    assert (failure.value.field, failure.value.layer, failure.value.column) == ("eta", None, 3)
 
 
 # ---------------------------------------------------------------------------

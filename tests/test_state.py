@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mlswe import (DryStateError, PhysParams, State, build_mesh, rest_state,
+from mlswe import (PhysParams, State, StepFailure, build_mesh, rest_state,
                    total_density_mass, total_volume, uniform_layout)
 
 
@@ -19,7 +19,6 @@ def test_rest_state_shapes_and_validation(setup):
     assert st.u.shape == (3, 9)
     assert st.rho.shape == (3, 8)
     st.validate(mesh, layout)
-    assert st.all_finite()
     assert np.allclose(st.depth(mesh), 0.5 - mesh.b)
 
 
@@ -27,8 +26,13 @@ def test_validation_rejects_dry_and_misshapen(setup):
     mesh, layout = setup
     st = rest_state(mesh, layout, eta0=0.5)
     dry = State(eta=np.full(8, -1.0), u=st.u, rho=st.rho)
-    with pytest.raises(DryStateError):
+    with pytest.raises(StepFailure, match="h_min"):
         dry.validate(mesh, layout)
+    for name in ("u", "rho"):
+        bad = st.copy()
+        getattr(bad, name)[1, 4] = np.inf
+        with pytest.raises(StepFailure, match=rf"non-finite value at {name}\[1, 4\]"):
+            bad.validate(mesh, layout)
     bad = State(eta=st.eta[:-1], u=st.u, rho=st.rho)
     with pytest.raises(ValueError):
         bad.validate(mesh, layout)

@@ -13,7 +13,9 @@ and the number of blocks the change won. A step is what `run_case` does
 per step: the integrator's step and the Courant numbers of the new state,
 which also give the next dt under adaptive stepping. Alternating blocks in
 one process cancels most of the drift of a shared machine, which moves
-whole-run times by +-25%. The cases are those of `bench/workloads.py`.
+whole-run times by +-25%. The cases are the workloads of
+`bench/workloads.py`, and its `case` builds both sides' specs: REF's with
+`mlswe` bound to REF's package while it runs.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
@@ -30,15 +31,11 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-WARMUP, CHECK = 5, 10
+sys.path[:0] = [str(ROOT / "tools"), str(ROOT / "bench")]
+from bench_record import export  # noqa: E402
+import workloads  # noqa: E402  (puts this checkout's src on sys.path)
 
-# the benchmark workloads as (case factory, its arguments)
-CASES = {
-    "internal_wave_cli": ("case_internal_wave", {}),
-    "lock_exchange_rk3": ("case_lock_exchange",
-                          {"integrator": "rk3", "dt": None, "target_ccel": 0.9}),
-    "tidal_nvar4": ("case_tidal", {"layout": "nvar4", "t_final": 12 * 3600.0}),
-}
+WARMUP, CHECK = 5, 10
 
 
 def load(src: Path, name: str):
@@ -52,12 +49,21 @@ def load(src: Path, name: str):
     return module
 
 
+def spec_of(m, case: str):
+    """The spec `workloads.case` builds with the package m bound as mlswe."""
+    saved = sys.modules["mlswe"]
+    sys.modules["mlswe"] = m
+    try:
+        return workloads.case(case)
+    finally:
+        sys.modules["mlswe"] = saved
+
+
 class Side:
     """One package stepping one case from its initial state."""
 
     def __init__(self, m, case: str):
-        factory, kwargs = CASES[case]
-        self.m, self.spec = m, getattr(m, factory)(**kwargs)
+        self.m, self.spec = m, spec_of(m, case)
         self.grid, self.state = m.build_problem(self.spec)
         cls = m.RK3Integrator if self.spec.integrator == "rk3" else m.IMEXIntegrator
         self.integ = cls(self.grid, limiter=self.spec.limiter)
@@ -83,8 +89,6 @@ class Side:
 
 def compare(parent_src: Path, cases, blocks: int, steps: int) -> dict:
     """case -> (median change/parent block-time ratio, blocks won, blocks)."""
-    if str(ROOT / "src") not in sys.path:
-        sys.path.insert(0, str(ROOT / "src"))
     import mlswe
     parent = load(Path(parent_src), "mlswe_parent")
     results = {}
@@ -105,18 +109,11 @@ def compare(parent_src: Path, cases, blocks: int, steps: int) -> dict:
     return results
 
 
-def export(ref: str, dest: Path) -> None:
-    """Write the committed files of `ref` into `dest`."""
-    archive = subprocess.run(["git", "archive", "--format=tar", ref], cwd=ROOT,
-                             capture_output=True, check=True)
-    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
-
-
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", metavar="REF", required=True,
                    help="the git commit to time against")
-    p.add_argument("--case", action="append", choices=sorted(CASES),
+    p.add_argument("--case", action="append", choices=workloads.WORKLOADS,
                    help="a benchmark case (repeatable; default all)")
     p.add_argument("--blocks", type=int, default=30,
                    help="alternated blocks per side (at least 30)")
@@ -126,7 +123,7 @@ def main(argv=None) -> int:
         p.error("need at least 30 blocks of at least 1 step")
     with tempfile.TemporaryDirectory(prefix="step_ab_") as tmp:
         export(args.parent, Path(tmp))
-        results = compare(Path(tmp) / "src", args.case or list(CASES),
+        results = compare(Path(tmp) / "src", args.case or list(workloads.WORKLOADS),
                           args.blocks, args.steps)
     for case, (ratio, won, blocks) in results.items():
         print(f"{case}: change/parent {ratio:.3f} (median of {blocks} blocks of "
