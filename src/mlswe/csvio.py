@@ -82,7 +82,7 @@ def read_snapshot(path):
 
 
 def write_report(path, report: RunReport) -> None:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     cp["report"] = {
         "case": report.case,
         "integrator": report.integrator,
@@ -103,14 +103,14 @@ def write_report(path, report: RunReport) -> None:
 
 
 def read_report(path) -> dict:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     with open(path) as f:
         cp.read_file(f)
     return {s: dict(cp[s]) for s in cp.sections()}
 
 
 def write_case_metadata(path, spec) -> None:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     cp["case"] = {
         "name": spec.name,
         "x_min": _fmt(spec.x_min),
@@ -156,7 +156,7 @@ def run_snapshots(run_dir):
     """(times, paths) of a run directory's snapshots, ordered by index; each
     time is read from its file's first data row."""
     run = Path(run_dir)
-    paths = sorted(run.glob("snapshot_*.csv"))
+    paths = sorted(run.glob("snapshot_*.csv"), key=lambda p: int(p.stem.split("_")[1]))
     if not paths:
         raise FileNotFoundError(f"no snapshots in {run}")
     times = []

@@ -7,19 +7,20 @@ rho*l*h). IMEX-ARK2 (Giraldo, Kelly & Constantinescu, SIAM J. Sci. Comput. 35,
 vertical viscous exchange implicitly, the rest explicitly.
 
 The vertical exchange A u + k is built once per state, as the tridiagonal
-bands of every column (`spatial.viscous_coefficients`), and both
-integrators read it: as the explicit tendency (`spatial.viscous_exchange`),
-and in the IMEX step also as the stage matrix and in its residual. The
-implicit operator is frozen at time level n and both implicit stages share
-one diagonal, so the stage matrix is built and factored once per step:
-I - gamma dt A in every column, and the free-surface tridiagonal along the
-domain, both handed as three diagonals to mlswe's own `tridiag` kernels,
-which also own the cyclic correction of a periodic grid. Each solve after
-that is forward and back substitution only. Level n is evaluated once; each
-later stage solves from the explicit values of its tableau rows and evaluates
-only what a later stage or the assembly reads (stage 2's stiff tendency
-comes out of its solve; stage 3's is never needed, because b equals the
-last implicit row).
+bands of every column (`spatial.viscous_coefficients`). Both integrators
+read it as a tendency (`spatial.viscous_exchange`), the IMEX step also in
+its stage matrix and residual. That matrix is frozen at time level n and
+shared by both implicit stages, so mlswe's `tridiag` kernels factor it once
+per step: I - gamma dt A in every column, and the free-surface tridiagonal
+along the domain, cyclic if periodic. Each solve is then substitution only.
+The IMEX step evaluates level n once, and a later stage only for what a
+later stage or the result reads (stage 2's stiff tendency comes out of its
+solve; stage 3's is never needed, because b equals the last implicit row).
+It keeps running sums, not stages (low storage; Williamson, J. Comput.
+Phys. 35, 1980): the explicit eta and u of stages 2 and 3, their density
+content less the carried flux, and the result's velocity step and density
+content. Each adds its terms in its tableau row's order, the order of one
+sum formed at the end, so the results are the same to the bit.
 
 Density stages use a linearized update: each stage upwinds the previous
 stage's density with the tableau-weighted carrier velocity and carries it
@@ -132,15 +133,6 @@ def _density(content, eta, grid: Grid) -> np.ndarray:
     """Density of the live cell layers from their content rho*l*h (zero
     above the live layers, like the content)."""
     return content / (grid.layout.l_int_safe * (eta - grid.mesh.b))
-
-
-def _combine(pairs):
-    """w0*x0 + w1*x1 + ... over (weight, array) pairs, left to right."""
-    (w, x), *rest = pairs
-    total = w * x
-    for w, x in rest:
-        total += w * x
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -319,26 +311,30 @@ class IMEXIntegrator:
         # interface height and vertical exchange freeze the implicit operator
         self.n_rhs += 1
         fs = prepare_fields(state, grid, t)
-        h_half = fs.h_half
-        G = mass_transfer(fs.flux, grid)
-        A = viscous_coefficients(grid, h_half, fs.u)
+        h_half, u_f, F, rho = fs.h_half, fs.u, fs.flux, state.rho
+        G = mass_transfer(F, grid)
+        A = viscous_coefficients(grid, h_half, u_f)
         ws = build_implicit_workspace(grid, h_half, A, gamma_dt)
-        N = [momentum_nonstiff(fs, G, grid, self.limiter)]
-        S_u, S_eta = [momentum_stiff(fs, A, grid)], [free_surface_rhs(fs, grid)]
-        H = [density_rhs_flux(fs.rho_half, fs.flux, grid)]
-        V = [vertical_density_term(state.rho, G, grid)]
-        u_f, F, rho = fs.u, fs.flux, state.rho
+        N, S_u = momentum_nonstiff(fs, G, grid, self.limiter), momentum_stiff(fs, A, grid)
+        S_eta, V = free_surface_rhs(fs, grid), vertical_density_term(rho, G, grid)
+        H = density_rhs_flux(fs.rho_half, F, grid)
+        # stage 2's, stage 3's and the result's sums open, each in its row's order
+        eta_sums = [ai[1, 0] * S_eta, ai[2, 0] * S_eta]
+        u_sums = [a[1, 0] * N + ai[1, 0] * S_u, a[2, 0] * N]
+        rests = [a[1, 0] * V, ai[2, 0] * H + a[2, 0] * V]
+        du, content = (b[0] - a[2, 0]) * N, b[0] * (H + V)
+        del N, H, V, G
 
         for s in (1, 2):
             t_s = t + c[s] * dt
-            eta_e = state.eta + dt * _combine(zip(ai[s, :s], S_eta))
-            u_e = state.u + dt * _combine([*zip(a[s, :s], N), *zip(ai[s, :s], S_u)])
+            eta_e, u_e = state.eta + dt * eta_sums.pop(0), state.u + dt * u_sums.pop(0)
             eta, u = implicit_stage_solve(grid, ws, eta_e, u_e, t_s)
             self.n_implicit += 1
             check_state(eta - grid.mesh.b, grid.h_min)
             if s == 1:  # stage 3 reads stage 2's stiff tendency; none reads stage 3's
-                S_u.append((u - u_e) / gamma_dt)
-                S_eta.append((eta - eta_e) / gamma_dt)
+                S_u1 = (u - u_e) / gamma_dt
+                eta_sums[0] += ai[2, 1] * ((eta - eta_e) / gamma_dt)
+            del eta_e, u_e
 
             # one mass flux per stage, at the frozen height, serves density,
             # continuity and mass transfer; the density rides on the implicit
@@ -349,24 +345,28 @@ class IMEXIntegrator:
             carrier = ai[s, s] * u_f + ai[s, s - 1] * u_p
             carried = density_rhs_flux(upwind_interface(fs.rho_L, fs.rho_R, carrier),
                                        ai[s, s] * F + ai[s, s - 1] * F_p, grid)
-            rest = _combine([*zip(ai[s, :s - 1], H), *zip(a[s, :s], V)])
-            rho = _density(lh_rho_n + dt * (carried + rest), eta, grid)
+            rho = _density(lh_rho_n + dt * (carried + rests.pop(0)), eta, grid)
+            del u_p, F_p, carrier, carried, fs  # none reads them again
 
             self.n_rhs += 1
             fs = prepare_fields(State(eta, u, rho), grid, t_s, u_f)
-            G = mass_transfer(fs.flux, grid)
-            N.append(momentum_nonstiff(fs, G, grid, self.limiter))
+            N = momentum_nonstiff(fs, mass_transfer(fs.flux, grid), grid, self.limiter)
             G = mass_transfer(F, grid)  # at the frozen height
-            H.append(density_rhs_flux(fs.rho_half, F, grid))
-            V.append(vertical_density_term(rho, G, grid))
+            H, V = density_rhs_flux(fs.rho_half, F, grid), vertical_density_term(rho, G, grid)
+            du += (b[s] - a[2, s]) * N
+            content += b[s] * (H + V)
+            if s == 1:  # stage 3's sums close
+                u_sums[0] = u_sums[0] + a[2, 1] * N + ai[2, 0] * S_u + ai[2, 1] * S_u1
+                rests[0] += a[2, 1] * V
+                del S_u, S_u1
+            del N, H, V, G
 
         # b is the last implicit row: eta^{n+1} = eta3, and the implicit
         # contributions to u telescope through stage 3
-        u_new = u + dt * _combine(zip(b - a[2], N))  # both zero off evolved_u
+        u_new = u + dt * du  # both zero off evolved_u
         if grid.bounds.periodic:
             u_new[:, -1] = u_new[:, 0]
-        content = lh_rho_n + dt * _combine(zip(b, [h + v for h, v in zip(H, V)]))
-        rho = _density(content, eta, grid)
+        rho = _density(lh_rho_n + dt * content, eta, grid)
         check_state(eta - grid.mesh.b, grid.h_min, u_new, rho, U_MAX)
         return State(eta, u_new, rho)
 

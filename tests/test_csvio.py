@@ -77,6 +77,27 @@ def test_load_run_states_missing(tmp_path):
         csvio.run_snapshots(tmp_path)
 
 
+def test_percent_in_the_case_name_round_trips(tmp_path):
+    """The metadata are written and read as they are: a `%` is no
+    interpolation syntax."""
+    spec = m.case_internal_wave(M=10, t_final=0.08, dt=0.04, output_interval=0.04)
+    result = m.run_case(spec.with_options(name="lock 5%"))
+    out = csvio.write_run(result, tmp_path / "run")
+    assert csvio.read_report(out / "case.ini")["case"]["name"] == "lock 5%"
+    assert csvio.read_report(out / "report.ini")["report"]["case"] == "lock 5%"
+
+
+def test_run_snapshots_are_ordered_by_index(tmp_path):
+    """Past five digits the names no longer sort as their indices do."""
+    for k in (100000, 10001, 9999):
+        (tmp_path / f"snapshot_{k:05d}.csv").write_text(
+            ",".join(csvio.SNAPSHOT_COLUMNS) + f"\r\n{k / 10!r},0.5,0,eta,1.0\r\n")
+    times, paths = csvio.run_snapshots(tmp_path)
+    assert [p.name for p in paths] == [
+        "snapshot_09999.csv", "snapshot_10001.csv", "snapshot_100000.csv"]
+    assert times == [999.9, 1000.1, 10000.0]
+
+
 def test_compare_parses_only_the_pair_it_compares(tmp_path, tiny_result, monkeypatch,
                                                    capsys):
     """Two runs of 3 snapshots each: `mlswe compare` parses the last common

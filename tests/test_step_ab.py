@@ -16,13 +16,15 @@ def _load(path, name):
 
 
 def test_checkout_against_itself(monkeypatch):
-    """The checkout's own sources as the parent: the states agree, and every
-    block pair gives a ratio."""
+    """The checkout's own sources as the parent: the states agree, also
+    after the timed blocks, and every block pair gives a ratio."""
     # the tool's sys.path entries and the alias package leave with the test
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.setitem(sys.modules, "mlswe_parent", None)
     step_ab = _load(ROOT / "tools" / "step_ab.py", "step_ab")
     results = step_ab.compare(ROOT / "src", ["lock_exchange_rk3"], blocks=30, steps=1)
-    ratio, won, blocks = results["lock_exchange_rk3"]
-    assert blocks == 30 and 0 <= won <= 30 and ratio > 0.0
+    ratio, won, blocks, same = results["lock_exchange_rk3"]
+    assert blocks == 30 and 0 <= won <= 30 and ratio > 0.0 and same
+    assert step_ab.summary(results, steps=1)[1] == (
+        "lock_exchange_rk3: states byte-equal after 45 steps")
     assert sys.modules["mlswe_parent"] is not sys.modules["mlswe"]

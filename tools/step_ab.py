@@ -8,8 +8,10 @@ to this checkout's `mlswe`. For each benchmark case both sides build the
 problem and take WARMUP steps; then both take CHECK steps more and their
 states must be byte-equal. Then they alternate N blocks of B steps each
 (parent first in the even-numbered pairs), each side from its own state,
-and the tool prints per case the median change/parent ratio of block times
-and the number of blocks the change won. A step is what `run_case` does
+and the tool prints per case the median change/parent ratio of block times,
+the number of blocks the change won, and whether the two states are still
+byte-equal after the blocks. That last is reported, not enforced: a change
+may legitimately move the round-off. A step is what `run_case` does
 per step: the integrator's step and the Courant numbers of the new state,
 which also give the next dt under adaptive stepping. Alternating blocks in
 one process cancels most of the drift of a shared machine, which moves
@@ -88,7 +90,8 @@ class Side:
 
 
 def compare(parent_src: Path, cases, blocks: int, steps: int) -> dict:
-    """case -> (median change/parent block-time ratio, blocks won, blocks)."""
+    """case -> (median change/parent block-time ratio, blocks won, blocks,
+    whether the states are byte-equal after the blocks)."""
     import mlswe
     parent = load(Path(parent_src), "mlswe_parent")
     results = {}
@@ -105,8 +108,20 @@ def compare(parent_src: Path, cases, blocks: int, steps: int) -> dict:
             for name in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
                 times[name].append(sides[name].run(steps))
         ratios = [c / p for c, p in zip(times["change"], times["parent"])]
-        results[case] = (statistics.median(ratios), sum(r < 1.0 for r in ratios), blocks)
+        same = sides["parent"].snapshot() == sides["change"].snapshot()
+        results[case] = (statistics.median(ratios), sum(r < 1.0 for r in ratios), blocks, same)
     return results
+
+
+def summary(results: dict, steps: int) -> list:
+    """Two lines per case of `compare`'s results: the timing, then the states."""
+    lines = []
+    for case, (ratio, won, blocks, same) in results.items():
+        lines += [f"{case}: change/parent {ratio:.3f} (median of {blocks} blocks of "
+                  f"{steps} steps), change faster in {won}/{blocks}",
+                  f"{case}: states {'byte-equal' if same else 'differ'} after "
+                  f"{WARMUP + CHECK + blocks * steps} steps"]
+    return lines
 
 
 def main(argv=None) -> int:
@@ -125,9 +140,7 @@ def main(argv=None) -> int:
         export(args.parent, Path(tmp))
         results = compare(Path(tmp) / "src", args.case or list(workloads.WORKLOADS),
                           args.blocks, args.steps)
-    for case, (ratio, won, blocks) in results.items():
-        print(f"{case}: change/parent {ratio:.3f} (median of {blocks} blocks of "
-              f"{args.steps} steps), change faster in {won}/{blocks}")
+    print("\n".join(summary(results, args.steps)))
     return 0
 
 
