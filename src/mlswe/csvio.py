@@ -2,20 +2,28 @@
 
 One CSV file per snapshot with columns (t, x, layer, field, value); floats
 are serialized with repr so they round-trip exactly. `write_run_dir` is the
-one writer of a run directory: it writes each snapshot as it comes, from a
-live run (`harness.stream_case`) or a finished one (`write_run`), then
-`case.ini` and `report.ini`. `run_snapshots` indexes a run directory by the
-time in each file's first row, so a reader parses only the files it needs.
-The output root comes from the MLSWE_OUTPUT_ROOT environment variable unless
-a directory is given explicitly.
+one writer of a run directory, for a live run (`harness.stream_case`) or a
+finished one (`write_run`): a forked process (this one, without os.fork)
+formats each snapshot while the run steps on, and `case.ini` and
+`report.ini` follow once all are on disk. `run_snapshots` indexes a run
+directory by the time in each file's first row, so a reader parses only the
+files it needs. The output root comes from the MLSWE_OUTPUT_ROOT
+environment variable unless a directory is given explicitly.
 """
 
 from __future__ import annotations
 
 import configparser
+import contextlib
 import csv
+import mmap
 import os
+import re
+import sys
 from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
 
 from .harness import RunReport, RunResult
 
@@ -23,6 +31,7 @@ OUTPUT_ROOT_ENV = "MLSWE_OUTPUT_ROOT"
 SNAPSHOT_COLUMNS = ("t", "x", "layer", "field", "value")
 _HEADER = ",".join(SNAPSHOT_COLUMNS) + "\r\n"
 _T = "{t}"  # the time in a row template, replaced once per block
+_SNAPSHOT = re.compile(r"snapshot_[0-9]+\.csv")  # the name of snapshot k, in full
 
 
 def output_root(explicit=None) -> Path:
@@ -129,21 +138,71 @@ def write_case_metadata(path, spec) -> None:
 
 
 def write_run_dir(out_dir, spec, grid, snapshots, report) -> Path:
-    """Write each (t, state) of `snapshots` as it comes, then the case
-    metadata and the run report, under out_dir. `report` is read after the
-    last snapshot, so a live run (`harness.stream_case`) is written as it is
-    taken, with its complete report."""
+    """Write each (t, state) of `snapshots` as it comes, in place of any
+    earlier snapshots, then the case metadata and the run report, under
+    out_dir. `report` is read after the last snapshot, so a live run
+    (`harness.stream_case`) is written as it is taken, with its full report."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for name in filter(_SNAPSHOT.fullmatch, os.listdir(out)):  # an earlier run's
+        (out / name).unlink()
     blocks = _snapshot_blocks(grid)
-    k = 0
-    for t, state in snapshots:  # enumerate would keep each state until the next
-        _write_blocks(out / f"snapshot_{k:05d}.csv", t, state, blocks)
-        del state  # the run steps on from here: hold no second state meanwhile
-        k += 1
+    if hasattr(os, "fork"):
+        _write_in_child(out, grid, snapshots, blocks)
+    else:
+        k = 0
+        for t, state in snapshots:  # enumerate would keep each state until the next
+            _write_blocks(out / f"snapshot_{k:05d}.csv", t, state, blocks)
+            del state  # the run steps on from here: hold no second state meanwhile
+            k += 1
     write_case_metadata(out / "case.ini", spec)
     write_report(out / "report.ini", report)
     return out
+
+
+def _write_in_child(out, grid, snapshots, blocks) -> None:
+    """Pipe each (t, state) as one float64 record (t, eta, u, rho) to a forked
+    writer, which writes record k as snapshot_<k>.csv, and wait for it. The
+    pipe holds a whole record (Linux), so while the writer keeps up the run
+    hands each snapshot over without sleeping halfway through it."""
+    import fcntl  # POSIX, as os.fork is
+
+    M, n = grid.mesh.M, grid.layout.n_max
+    record_type = np.dtype([("t", float), ("eta", float, M), ("u", float, (n, M + 1)),
+                            ("rho", float, (n, M))])
+    done = np.frombuffer(mmap.mmap(-1, 8), np.int64)  # files written, shared
+    r, w = os.pipe()
+    with contextlib.suppress(AttributeError, OSError):
+        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, record_type.itemsize)
+    pid = os.fork()
+    if pid == 0:  # the writer: exit 0 at the end of the records, 1 on any error
+        try:
+            os.close(w)
+            record = np.empty((), record_type)
+            # views of the record's fields: a recarray's attribute costs 3 us
+            state = SimpleNamespace(**{name: record[name] for name in record_type.names})
+            with open(r, "rb") as pipe:
+                while pipe.readinto(record) == record.nbytes:
+                    _write_blocks(out / f"snapshot_{done[0]:05d}.csv", state.t, state, blocks)
+                    done[0] += 1
+            os._exit(0)  # leaves at once: the finally below does not run
+        except Exception:  # an interrupt is the run's to report
+            sys.excepthook(*sys.exc_info())  # importing traceback costs every run 0.4 MB
+        finally:
+            os._exit(1)
+    os.close(r)
+    try:
+        with open(w, "wb") as pipe:
+            for t, state in snapshots:
+                for a in (t, state.eta, state.u, state.rho):
+                    pipe.write(np.ascontiguousarray(a, float))
+                del state  # the run steps on from here: hold no second state meanwhile
+    except BrokenPipeError:
+        pass  # the writer is gone; its exit status says why
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code:
+        raise OSError(f"{out / f'snapshot_{done[0]:05d}.csv'}: the writer exited with {code}")
 
 
 def write_run(result: RunResult, out_dir) -> Path:
@@ -156,7 +215,8 @@ def run_snapshots(run_dir):
     """(times, paths) of a run directory's snapshots, ordered by index; each
     time is read from its file's first data row."""
     run = Path(run_dir)
-    paths = sorted(run.glob("snapshot_*.csv"), key=lambda p: int(p.stem.split("_")[1]))
+    paths = sorted((p for p in run.glob("snapshot_*.csv") if _SNAPSHOT.fullmatch(p.name)),
+                   key=lambda p: int(p.stem.split("_")[1]))
     if not paths:
         raise FileNotFoundError(f"no snapshots in {run}")
     times = []

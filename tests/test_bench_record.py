@@ -14,7 +14,7 @@ def _load_bench_record():
     return module
 
 
-def test_record_alternates_parent_and_change(monkeypatch, tmp_path):
+def test_record_alternates_parent_and_change(monkeypatch, tmp_path, capsys):
     br = _load_bench_record()
     calls = []
 
@@ -22,7 +22,8 @@ def test_record_alternates_parent_and_change(monkeypatch, tmp_path):
         side = "parent" if root == tmp_path else "change"
         calls.append((workload, side, trace))
         n = len(calls)
-        metrics = {k: {"value": float(n)} for k in ("setup_s", "step_ms", "peak_rss_mb")}
+        metrics = {k: {"value": float(n)}
+                   for k in ("setup_s", "run_s", "step_ms", "peak_rss_mb")}
         return {"metrics": metrics, "correct": n, "attempted": n, "failed": 0}
 
     monkeypatch.setattr(br, "bench_run", fake_run)
@@ -45,3 +46,7 @@ def test_record_alternates_parent_and_change(monkeypatch, tmp_path):
         change_n = [order[i] for i, s in enumerate(sides) if s == "change"]
         assert [r["step_ms"] for r in entry["parent"]["end_to_end"]["runs"]] == parent_n
         assert [r["step_ms"] for r in entry["end_to_end"]["runs"]] == change_n
+    # the medians printed per workload and side include run_s
+    printed = capsys.readouterr().err.splitlines()
+    assert len(printed) == 2 * len(result["workloads"])
+    assert all("'run_s': " in line for line in printed)

@@ -1,4 +1,10 @@
 import csv
+import fcntl
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -200,3 +206,131 @@ def test_cli_run_dir_matches_the_finished_run(tmp_path, capsys):
     assert printed[1].startswith("failure: step 29 at t=2.2699999999999996: ")
     csvio.write_run(m.run_case(m.case_internal_wave(dt=0.09)), tmp_path / "done")
     assert run_dir_bytes(out) == run_dir_bytes(tmp_path / "done")
+
+
+def _no_child_remains():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_shorter_rerun_leaves_no_stale_snapshot(tmp_path):
+    """A second, shorter run into the same directory used to leave the first
+    run's later snapshots behind, for `run_snapshots` and `mlswe compare` to
+    read. Only files named snapshot_<digits>.csv are removed."""
+    out = tmp_path / "run"
+    assert cli.main(["run", "internal_wave", "--t-final", "1.6", "--out", str(out)]) == 0
+    assert csvio.run_snapshots(out)[0] == pytest.approx([0.0, 0.4, 0.8, 1.2, 1.6])
+    keep = ("notes.txt", "snapshot_notes.csv", "snapshot_00009.csv.bak")
+    for name in keep:
+        (out / name).write_text("kept\n")
+    assert cli.main(["run", "internal_wave", "--t-final", "0.8", "--dt", "0.02",
+                     "--out", str(out)]) == 0
+    times, paths = csvio.run_snapshots(out)
+    assert times == pytest.approx([0.0, 0.4, 0.8]) and len(paths) == 3
+    assert csvio.read_report(out / "case.ini")["case"]["t_final"] == "0.8"
+    assert all((out / name).read_text() == "kept\n" for name in keep)
+
+
+@pytest.fixture()
+def failing_second_snapshot(monkeypatch):
+    """`_write_blocks` raises on a writer's second snapshot; a forked writer
+    inherits the patch and its count."""
+    write = csvio._write_blocks
+    calls = []
+
+    def fail_second(*args):
+        calls.append(args[0])
+        if len(calls) == 2:
+            raise RuntimeError("no room")
+        write(*args)
+
+    monkeypatch.setattr(csvio, "_write_blocks", fail_second)
+
+
+def test_a_failing_writer_names_its_snapshot(tmp_path, tiny_result, capsys,
+                                             failing_second_snapshot):
+    with pytest.raises(OSError, match="snapshot_00001.csv"):
+        csvio.write_run(tiny_result, tmp_path / "run")
+    assert not (tmp_path / "run" / "report.ini").exists()
+    _no_child_remains()
+    out = tmp_path / "cli"
+    assert cli.main(["run", "internal_wave", "--t-final", "0.8", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "snapshot_00001.csv" in err
+    assert not (out / "report.ini").exists()
+    _no_child_remains()
+
+
+@pytest.mark.parametrize("stop", [RuntimeError, KeyboardInterrupt])
+def test_a_consumer_that_stops_keeps_what_was_written(tmp_path, tiny_result, stop):
+    """The run's own exception comes out, after the writer has written every
+    snapshot it was handed."""
+    def two_then_stop():
+        yield from zip(tiny_result.times[:2], tiny_result.states[:2])
+        raise stop("consumer stopped")
+
+    out = tmp_path / "run"
+    with pytest.raises(stop, match="consumer stopped"):
+        csvio.write_run_dir(out, tiny_result.spec, tiny_result.grid, two_then_stop(),
+                            tiny_result.report)
+    _no_child_remains()
+    assert sorted(p.name for p in out.iterdir()) == ["snapshot_00000.csv",
+                                                     "snapshot_00001.csv"]
+    for k in range(2):
+        ref = tmp_path / f"ref_{k}.csv"
+        csvio.write_snapshot(ref, tiny_result.times[k], tiny_result.states[k],
+                             tiny_result.grid)
+        assert (out / f"snapshot_{k:05d}.csv").read_bytes() == ref.read_bytes()
+
+
+def test_without_fork_the_run_is_written_in_process(tmp_path, tiny_result, monkeypatch):
+    csvio.write_run(tiny_result, tmp_path / "forked")
+    monkeypatch.delattr(os, "fork")
+    csvio.write_run(tiny_result, tmp_path / "in_process")
+    assert run_dir_bytes(tmp_path / "in_process") == run_dir_bytes(tmp_path / "forked")
+
+
+@pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="Linux sets pipe sizes")
+def test_the_pipe_holds_a_whole_snapshot(tmp_path, monkeypatch):
+    """The run hands a snapshot over in one write, which does not wait for
+    the writer as long as it keeps up: the default 64 KiB pipe would put the
+    run to sleep twice in each 175 KB internal-wave record."""
+    spec = m.case_internal_wave(t_final=0.0)
+    grid, report, snapshots = m.stream_case(spec)
+    pipes, sizes = [], []
+    pipe, fork = os.pipe, os.fork
+    monkeypatch.setattr(os, "pipe", lambda: pipes.append(pipe()) or pipes[-1])
+    monkeypatch.setattr(os, "fork", lambda: sizes.append(
+        fcntl.fcntl(pipes[-1][1], fcntl.F_GETPIPE_SZ)) or fork())
+    csvio.write_run_dir(tmp_path, spec, grid, snapshots, report)
+    M, n = grid.mesh.M, grid.layout.n_max
+    assert len(sizes) == 1 and sizes[0] >= 8 * (1 + M + n * (2 * M + 1)) > 1 << 16
+    _no_child_remains()
+
+
+def test_an_interrupted_run_leaves_no_process(tmp_path):
+    """Ctrl-C reaches `mlswe run` and its writer together, as one process
+    group: the run reports the interrupt, writes no report, and no process
+    of the group is left."""
+    src = str(Path(m.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mlswe.cli", "run", "internal_wave", "--t-final", "40",
+         "--out", str(tmp_path)], env=env, start_new_session=True,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 60.0
+        while not (tmp_path / "snapshot_00001.csv").exists():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        os.killpg(proc.pid, signal.SIGINT)
+        err = proc.communicate(timeout=60)[1]
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode != 0 and "KeyboardInterrupt" in err
+    assert not (tmp_path / "report.ini").exists()
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)

@@ -121,7 +121,7 @@ def record(parent_root) -> dict:
         workloads[name] = entry
         for side in roots:
             med = {k: statistics.median(_values(r)[k] for r in runs[side])
-                   for k in ("setup_s", "step_ms", "peak_rss_mb")}
+                   for k in ("setup_s", "run_s", "step_ms", "peak_rss_mb")}
             print(f"{name} {side}: median {med}", file=sys.stderr)
     return {
         "command": command,
