@@ -131,8 +131,12 @@ def courant_dt(c: float, target: float, dt_max: float = np.inf) -> float:
 
 def _density(content, eta, grid: Grid) -> np.ndarray:
     """Density of the live cell layers from their content rho*l*h (zero
-    above the live layers, like the content)."""
-    return content / (grid.layout.l_int_safe * (eta - grid.mesh.b))
+    above the live layers, like the content). A density below the smallest
+    normal double is set to zero, so no operator meets a slow subnormal; a
+    NaN is kept for `check_state`."""
+    rho = content / (grid.layout.l_int_safe * (eta - grid.mesh.b))
+    rho[np.abs(rho) < np.finfo(float).tiny] = 0.0
+    return rho
 
 
 # ---------------------------------------------------------------------------

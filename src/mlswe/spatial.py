@@ -236,7 +236,9 @@ class Grid:
 
 def upwind_interface(left, right, carrier):
     """Upwind selection: carrier > 0 picks left, < 0 picks right, exact zero
-    gives the arithmetic average (preserves rest states and symmetry)."""
+    gives the arithmetic average (preserves rest states and symmetry). The
+    scheme's one interface rule: on the velocity for height and density at
+    the velocity points, on G for density at a layer interface (upper as left)."""
     return 0.5 * ((left + right) - np.sign(carrier) * (right - left))
 
 
@@ -412,19 +414,6 @@ def mass_transfer(flux, grid: Grid) -> np.ndarray:
     return G
 
 
-def density_interface_value(rho, G_inner) -> np.ndarray:
-    """Upwind density at the layer interfaces inside each column.
-
-    rho is (n_max, M); G_inner is G[1:n_max] (the interior interfaces).
-    Implements the average-minus-signed-jump form with sgn(0) = 0. Above
-    the live interfaces the value is unmasked: it only ever multiplies G,
-    which is zero there.
-    """
-    avg = 0.5 * (rho[:-1, :] + rho[1:, :])
-    jump = rho[1:, :] - rho[:-1, :]
-    return avg + 0.5 * np.sign(G_inner) * jump
-
-
 def density_rhs_flux(rho_up, flux, grid: Grid) -> np.ndarray:
     """Conservative horizontal flux divergence of l*h*rho*u per cell layer.
 
@@ -440,9 +429,11 @@ def density_rhs_flux(rho_up, flux, grid: Grid) -> np.ndarray:
 
 
 def vertical_density_term(rho_stage, G, grid: Grid) -> np.ndarray:
-    """Vertical exchange term of the density equation, divided by dx."""
+    """Vertical exchange term of the density equation, divided by dx. A
+    downward transfer (G > 0) carries the upper layer's density; the value
+    is unmasked above the live interfaces, where G is zero."""
     n_max = grid.layout.n_max
-    rho_v = density_interface_value(rho_stage, G[1:n_max, :])
+    rho_v = upwind_interface(rho_stage[1:], rho_stage[:-1], G[1:n_max, :])
     # layer k: the flux rho_v G through interface k+1 less that through k
     out = np.zeros(rho_stage.shape)
     np.multiply(rho_v, G[1:n_max, :], out=out[:-1])

@@ -1,8 +1,11 @@
 """The paired benchmark record (`tools/bench_record.py`): the runs of the
-parent and of the change alternate, and each side keeps its own runs."""
+parent and of the change alternate, each side keeps its own runs, both run
+from exported trees, and the record names the host."""
 
 import importlib.util
 from pathlib import Path
+
+import numpy as np
 
 BENCH_RECORD = Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
 
@@ -19,7 +22,7 @@ def test_record_alternates_parent_and_change(monkeypatch, tmp_path, capsys):
     calls = []
 
     def fake_run(root, command, workload, seconds, trace):
-        side = "parent" if root == tmp_path else "change"
+        side = {parent: "parent", change: "change"}[root]
         calls.append((workload, side, trace))
         n = len(calls)
         metrics = {k: {"value": float(n)}
@@ -28,7 +31,8 @@ def test_record_alternates_parent_and_change(monkeypatch, tmp_path, capsys):
 
     monkeypatch.setattr(br, "bench_run", fake_run)
     monkeypatch.setattr(br, "speed_probe", lambda: 1.0)
-    result = br.record(tmp_path)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    result = br.record(parent, change)
 
     assert result["repeat"] == br.PAIRS
     for name, entry in result["workloads"].items():
@@ -50,3 +54,48 @@ def test_record_alternates_parent_and_change(monkeypatch, tmp_path, capsys):
     printed = capsys.readouterr().err.splitlines()
     assert len(printed) == 2 * len(result["workloads"])
     assert all("'run_s': " in line for line in printed)
+
+
+def test_both_sides_run_from_alike_exports(monkeypatch):
+    """The parent and the change each run from an export, never from the
+    checkout, and the two exports' paths are as long: the memory a run
+    reads moves with where its tree lies. The change's export is the
+    checkout's tracked files as they are on disk."""
+    br = _load_bench_record()
+    roots = set()
+
+    def fake_run(root, command, workload, seconds, trace):
+        roots.add(root)
+        metrics = {k: {"value": 1.0}
+                   for k in ("setup_s", "run_s", "step_ms", "peak_rss_mb")}
+        return {"metrics": metrics, "correct": 1, "attempted": 1, "failed": 0}
+
+    monkeypatch.setattr(br, "bench_run", fake_run)
+    monkeypatch.setattr(br, "speed_probe", lambda: 1.0)
+    with br.exported_trees("HEAD") as (parent, change, commit):
+        result = br.record(parent, change)
+        assert roots == {parent, change}
+        assert br.ROOT not in roots and len(str(parent)) == len(str(change))
+        for name in ("bench/run.py", "tools/bench_record.py", "tests/test_bench_record.py"):
+            assert (change / name).read_bytes() == (br.ROOT / name).read_bytes()
+            assert (parent / name).is_file()
+    assert len(commit) == 40
+    assert result["src_mlswe_lines"] == br.src_lines(br.ROOT)
+
+
+def test_record_names_the_host(monkeypatch, tmp_path):
+    """A record from another host can tell a BLAS kernel from a change: it
+    names the CPU model, the OPENBLAS_CORETYPE the runs inherit and numpy's
+    version."""
+    br = _load_bench_record()
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")
+    host = br.machine()
+    assert {"cpus", "machine", "python", "cpu_model"} <= host.keys()
+    assert (host["openblas_coretype"], host["numpy"]) == ("Haswell", np.__version__)
+    monkeypatch.delenv("OPENBLAS_CORETYPE")
+    assert br.machine()["openblas_coretype"] is None
+
+    cpuinfo = tmp_path / "cpuinfo"
+    cpuinfo.write_text("processor\t: 0\nmodel name\t: Some CPU @ 2.0GHz\nflags\t: fpu\n")
+    assert br.cpu_model(cpuinfo) == "Some CPU @ 2.0GHz"
+    assert br.cpu_model(tmp_path / "absent") is None

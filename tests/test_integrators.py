@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import mlswe as m
-from mlswe.integrators import (build_implicit_workspace, implicit_residual,
-                               implicit_stage_solve)
+from mlswe.integrators import (_density, build_implicit_workspace,
+                               implicit_residual, implicit_stage_solve)
 from mlswe.spatial import prepare_fields, viscous_coefficients, viscous_exchange
 from mlswe.tridiag import thomas, thomas_factor
 from test_step_reference import reference_runs
@@ -278,3 +278,21 @@ def test_imex_step_holds_running_sums_not_stages():
     finally:
         tracemalloc.stop()
     assert peak <= 28 * state.u.nbytes
+
+
+def test_density_has_no_subnormals():
+    """A tidal run forms densities below the smallest normal double where
+    salt reaches fresh water (423 in the snapshots to 2 h, unflushed); each
+    is set to zero where it is formed, and a normal value, a negative one
+    and a NaN are kept."""
+    result = m.run_case(m.case_tidal(layout="nvar4", t_final=2 * 3600.0))
+    assert result.report.verdict == "completed"
+    rho = np.array([s.rho for s in result.states])
+    assert not np.any((rho != 0.0) & (np.abs(rho) < np.finfo(float).tiny))
+
+    mesh = m.build_mesh(0.0, 1.0, 7)
+    grid = m.Grid(mesh=mesh, layout=m.uniform_layout(mesh, 1), params=m.PhysParams())
+    content = np.array([[0.03, -0.01, 3e-308, 1e-310, -1e-310, 0.0, np.nan]])
+    rho = _density(content, np.ones(7), grid)  # unit depth: rho is the content
+    assert np.array_equal(rho, [[0.03, -0.01, 3e-308, 0.0, 0.0, 0.0, np.nan]],
+                          equal_nan=True)

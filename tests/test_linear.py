@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from mlswe import (LinearModel, assemble_A, characteristic_residual,
-                   hyperbolicity_check, spectrum)
+from mlswe import (Grid, LinearModel, PhysParams, RK3Integrator, State,
+                   assemble_A, build_mesh, characteristic_residual,
+                   courant_numbers, hyperbolicity_check, periodic, spectrum,
+                   uniform_layout)
 
 
 def naive_two_layer_matrix(H, U, rho, l, g):
@@ -184,3 +186,49 @@ def test_model_refuses_non_positive_fractions_depth_and_gravity(bad, match):
     kw = {"H": 1.0, "U": [0.2, 0.2], "rho": [0.0, 0.0], "l": [0.5, 0.5], "g": 9.81, **bad}
     with pytest.raises(ValueError, match=match):
         LinearModel(**kw)
+
+
+# ---------------------------------------------------------------------------
+# the solver against its own linear analysis
+
+
+def external_mode_error(M, graded, eps=1e-6):
+    """Max-norm u error, relative to eps, after RK3 at C_cel 0.05 carries the
+    external eigenmode of A at wavenumber 2 pi once round a flat periodic
+    strip (length 1, depth 1, two equal layers, rho = (0.03, 0)). The mode
+    starts as cell averages in eta and rho and point values in u, with its
+    eigenvector scaled to max norm 1; after one period the exact solution is
+    the start. A graded mesh moves the interfaces by 0.15/(2 pi) sin 2 pi x."""
+    k, rho0 = 2.0 * np.pi, np.array([0.03, 0.0])
+    x = np.linspace(0.0, 1.0, M + 1)
+    if graded:
+        x = x + 0.15 / k * np.sin(k * x)
+    mesh = build_mesh(0.0, 1.0, x_iface=x)
+    grid = Grid(mesh=mesh, layout=uniform_layout(mesh, 2), params=PhysParams(),
+                bounds=periodic())
+    lam, vec = np.linalg.eig(assemble_A(LinearModel(
+        H=1.0, U=np.zeros(2), rho=rho0, l=np.full(2, 0.5))).A)
+    j = np.argmax(lam.real)
+    c, v = lam[j].real, vec[:, j].real / np.max(np.abs(vec[:, j].real))
+    cell = (np.sin(k * x[1:]) - np.sin(k * x[:-1])) / (k * mesh.dx)  # mean of cos kx
+    u0 = eps * v[1:3, None] * np.cos(k * x)
+    state = State(eta=1.0 + eps * v[0] * cell, u=u0.copy(),
+                  rho=rho0[:, None] + eps * v[3:, None] * cell)
+    c_cel = courant_numbers(state, grid, 1.0)[0]
+    n = int(np.ceil(c_cel / c / 0.05))  # steps in one period 1/c
+    dt = 1.0 / (c * n)
+    rk3 = RK3Integrator(grid)
+    for step in range(n):
+        state = rk3.step(state, step * dt, dt)
+    return np.max(np.abs(state.u - u0)) / eps
+
+
+@pytest.mark.parametrize("graded", [False, True], ids=["uniform", "graded"])
+def test_solver_carries_the_external_eigenmode_at_second_order(graded):
+    """The solver's small-amplitude dynamics are those of A: its external
+    mode returns after one period with an error of observed order 2 in M
+    (0.040 / 0.010 / 0.0026 on the uniform mesh). The first internal mode
+    does not converge in M (see the README)."""
+    errors = [external_mode_error(M, graded) for M in (16, 32, 64)]
+    orders = np.log2(np.divide(errors[:-1], errors[1:]))
+    assert np.all(orders >= 1.9), (errors, orders)

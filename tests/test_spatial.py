@@ -9,9 +9,8 @@ from mlswe import (Boundaries, Discharge, Elevation, PhysParams, State, Wall,
 from mlswe import spatial
 from mlswe.layers import refine_parent
 from mlswe.spatial import (Grid, baroclinic_gradient, boundary_values,
-                           density_interface_value, mass_transfer, minmod,
-                           momentum_advection, prepare_fields,
-                           upwind_interface, viscous_coefficients)
+                           mass_transfer, minmod, momentum_advection,
+                           prepare_fields, upwind_interface, viscous_coefficients)
 from test_step_reference import _perturb, reference_runs
 
 
@@ -186,9 +185,9 @@ def test_remap_prolongs_as_first_written(name):
 
 def test_density_interface_upwind_direction():
     rho = np.array([[0.03], [0.0]])     # dense below, light above
-    up = density_interface_value(rho, np.array([[-1.0]]))   # upward
-    down = density_interface_value(rho, np.array([[+1.0]]))  # downward
-    tie = density_interface_value(rho, np.array([[0.0]]))
+    up = upwind_interface(rho[1:], rho[:-1], np.array([[-1.0]]))   # upward
+    down = upwind_interface(rho[1:], rho[:-1], np.array([[+1.0]]))  # downward
+    tie = upwind_interface(rho[1:], rho[:-1], np.array([[0.0]]))
     assert up[0, 0] == 0.03    # carries the lower layer's density
     assert down[0, 0] == 0.0   # carries the upper layer's density
     assert tie[0, 0] == pytest.approx(0.015)

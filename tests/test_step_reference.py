@@ -209,13 +209,14 @@ def test_imex_step_work(name, solves, monkeypatch):
     frozen height for its density), five horizontal density fluxes (one per
     stage, one carried into each of stages 2 and 3) and one vertical density
     term per stage. Upwinding: two per field preparation (height and
-    density) and one for each carried flux; a stage's own flux reuses the
-    density its field preparation upwinded."""
+    density), one for each carried flux and one per vertical density term;
+    a stage's own flux reuses the density its field preparation
+    upwinded."""
     calls, integ = _two_steps_counted(name, monkeypatch)
     banded = 3 if integ.grid.bounds.periodic else 2
     assert calls == {"viscous_coefficients": 2, "prepare_fields": 6,
                      "boundary_values": 6, "interface_cell_scalars": 6,
-                     "upwind_interface": 16, "mass_transfer": 10,
+                     "upwind_interface": 22, "mass_transfer": 10,
                      "density_rhs_flux": 10, "vertical_density_term": 6,
                      "compute_tendencies": 0, "_thomas": 2 * solves,
                      "solve_banded": 2 * banded}
@@ -225,10 +226,10 @@ def test_imex_step_work(name, solves, monkeypatch):
 @pytest.mark.parametrize("name", ["basin_242_rk3", "lock_exchange_rk3"])
 def test_rk3_step_work(name, monkeypatch):
     """Per step: one full right-hand side per stage, each with its one field
-    preparation (which upwinds height and density once each), and no
-    implicit solve."""
+    preparation (which upwinds height and density once each) and its
+    vertical density term (which upwinds once), and no implicit solve."""
     calls, integ = _two_steps_counted(name, monkeypatch)
-    assert calls == {**dict.fromkeys(WORK, 6), "upwind_interface": 12,
+    assert calls == {**dict.fromkeys(WORK, 6), "upwind_interface": 18,
                      "_thomas": 0, "solve_banded": 0}
     assert integ.n_rhs == 6
 

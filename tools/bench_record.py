@@ -2,30 +2,36 @@
 
     python3 tools/bench_record.py --pr N --parent REF
 
-Exports the committed files of REF (`git archive`) into a temporary
-directory and runs the benchmark command of BENCHMARK.json (`python3
-bench/run.py`) unchanged in both trees for every workload it lists: PAIRS
-untraced runs of REF's and of this checkout's alternate, REF first in the
-even-numbered pairs, then one traced run of each, every run for the file's
-run_seconds. Only paired runs compare a change with its parent on a shared
-machine. Writes BENCH_<N>.json at the root of the checkout: per workload
+Exports the committed files of REF (`git archive`) and this checkout's
+tracked files as they are on disk (a new file must be `git add`ed) into two
+temporary directories whose paths are as long, since a run's peak memory
+moves with where its tree lies. Then it runs the benchmark command of
+BENCHMARK.json (`python3 bench/run.py`) unchanged in both trees for every
+workload it lists: PAIRS untraced runs of REF's and of this checkout's
+alternate, REF first in the even-numbered pairs, then one traced run of
+each, every run for the file's run_seconds. Only paired runs compare a
+change with its parent on a shared machine. Writes BENCH_<N>.json at the root of the checkout: per workload
 and side (this checkout at the top level, REF under "parent") the
 end-to-end metrics of every run in pair order and, whole, the run of
 lowest step_ms; the per-layer metrics; the correct/attempted/failed counts
 of each run; and a speed probe taken before and after the workload's runs.
 Also the line count of src/mlswe on both sides, REF and its commit, and the
-machine the runs were made on. The probe times a fixed numpy kernel; it
+machine the runs were made on, with its CPU model, the OPENBLAS_CORETYPE
+the runs inherit and numpy's version, so that a record from another host can
+tell a BLAS kernel from a change. The probe times a fixed numpy kernel; it
 rises when other work shares the machine (a virtual machine's load average
-does not show the host's). Run it from any directory; it runs the checkout
-it belongs to.
+does not show the host's). Run it from any directory; it exports the
+checkout it belongs to.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
+import shutil
 import subprocess
 import statistics
 import sys
@@ -99,12 +105,54 @@ def export(ref, dest) -> str:
     return commit.stdout.strip()
 
 
-def record(parent_root) -> dict:
-    """The record of this checkout paired with the one at `parent_root`."""
+def export_checkout(dest) -> None:
+    """Write this checkout's tracked files, as they are on disk, into `dest`."""
+    listed = subprocess.run(["git", "ls-files", "-z"], cwd=ROOT,
+                            capture_output=True, text=True, check=True)
+    for name in filter(None, listed.stdout.split("\0")):
+        if (ROOT / name).is_file():  # a deleted file is not exported
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
+
+
+@contextlib.contextmanager
+def exported_trees(ref):
+    """(parent root, change root, REF's commit): REF and this checkout, each
+    exported into a temporary directory; the two paths are as long."""
+    with tempfile.TemporaryDirectory(prefix="bench_parent_") as parent, \
+            tempfile.TemporaryDirectory(prefix="bench_change_") as change:
+        commit = export(ref, Path(parent))
+        export_checkout(Path(change))
+        yield Path(parent), Path(change), commit
+
+
+def cpu_model(cpuinfo=Path("/proc/cpuinfo")) -> str | None:
+    """The CPU's model name from `cpuinfo`, or None where there is none."""
+    try:
+        lines = cpuinfo.read_text().splitlines()
+    except OSError:
+        return None
+    for line in lines:
+        key, _, value = line.partition(":")
+        if key.strip() == "model name":
+            return value.strip()
+    return None
+
+
+def machine() -> dict:
+    return {"cpus": os.cpu_count(), "machine": platform.machine(),
+            "python": platform.python_version(), "cpu_model": cpu_model(),
+            "openblas_coretype": os.environ.get("OPENBLAS_CORETYPE"),
+            "numpy": np.__version__}
+
+
+def record(parent_root, change_root) -> dict:
+    """The record of the tree at `change_root` paired with the one at
+    `parent_root`."""
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     command, seconds = bench["command"], bench["run_seconds"]
     units = {m["name"]: m["unit"] for m in bench["end_to_end"] + bench["per_layer"]}
-    roots = {"parent": parent_root, "change": ROOT}
+    roots = {"parent": parent_root, "change": change_root}
     workloads = {}
     for w in bench["workloads"]:
         name = w["name"]
@@ -128,9 +176,8 @@ def record(parent_root) -> dict:
         "seconds": seconds,
         "repeat": PAIRS,
         "units": units,
-        "src_mlswe_lines": src_lines(ROOT),
-        "machine": {"cpus": os.cpu_count(), "machine": platform.machine(),
-                    "python": platform.python_version()},
+        "src_mlswe_lines": src_lines(change_root),
+        "machine": machine(),
         "workloads": workloads,
     }
 
@@ -142,11 +189,10 @@ def main(argv=None) -> int:
                    help="the git commit to pair every run with")
     args = p.parse_args(argv)
     out = ROOT / f"BENCH_{args.pr}.json"
-    with tempfile.TemporaryDirectory(prefix="bench_parent_") as tmp:
-        commit = export(args.parent, Path(tmp))
-        result = record(Path(tmp))
+    with exported_trees(args.parent) as (parent, change, commit):
+        result = record(parent, change)
         result["parent"] = {"ref": args.parent, "commit": commit,
-                            "src_mlswe_lines": src_lines(Path(tmp))}
+                            "src_mlswe_lines": src_lines(parent)}
     out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     return 0
