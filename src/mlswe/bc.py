@@ -14,6 +14,7 @@ operators ask only this:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -98,7 +99,7 @@ class Boundaries:
         if isinstance(self.left, Periodic) != isinstance(self.right, Periodic):
             raise ValueError("periodic boundaries must be set on both sides")
 
-    @property
+    @cached_property
     def periodic(self) -> bool:
         return isinstance(self.left, Periodic)
 

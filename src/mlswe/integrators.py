@@ -40,8 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spatial import (Grid, VerticalOperator, boundary_velocities,
-                      compute_tendencies, density_rhs_flux, free_surface_rhs,
+from .spatial import (Grid, VerticalOperator, _cell_layer_flux,
+                      boundary_velocities, compute_tendencies,
+                      density_rhs_flux, free_surface_rhs,
                       ghost_elevation, layer_flux, mass_transfer,
                       momentum_nonstiff, momentum_stiff, prepare_fields,
                       upwind_interface, vertical_density_term,
@@ -110,10 +111,11 @@ ARK2 = ark2_tableau()
 def courant_numbers(state: State, grid: Grid, dt: float):
     """(C_cel, C_vel): cell maxima of (|ubar| + sqrt((1+rhobar) g h)) dt/dx
     and (|ubar| + sqrt(rhobar g h)) dt/dx; negative rhobar is clamped to
-    zero under the square root."""
+    zero under the square root. A cell sees its interfaces' velocities in
+    its own layering: a fine layer takes its coarse parent's."""
     layout, mesh, g = grid.layout, grid.mesh, grid.params.g
     h = np.maximum(state.eta - mesh.b, 0.0)
-    u_c = 0.5 * (state.u[:, :-1] + state.u[:, 1:])
+    u_c = 0.5 * np.add(*_cell_layer_flux(state.u, grid, share=False))
     ubar = np.abs((layout.l_int * u_c).sum(axis=0))
     rhobar = (layout.l_int * state.rho).sum(axis=0)
     c_cel = (ubar + np.sqrt(np.maximum(1.0 + rhobar, 0.0) * g * h)) * dt / mesh.dx

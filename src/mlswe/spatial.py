@@ -23,6 +23,13 @@ Across a layer-count transition an interface sees a cell's densities,
 transfer field or velocity differences through one remap,
 `_seen_from_interfaces`, and a cell sees interface fluxes through
 `_cell_layer_flux`.
+
+Momentum advection runs in flat passes: u is copied once into a zeroed
+flat buffer of rows M+5 wide, and its differences, curvatures, minmod and
+slopes are each one contiguous pass over offset slices of it. Across a row's
+end a pass reads padding (zeros, or the periodic wrap's copies of u) or the
+zeroed slack after the last row, so it meets no non-finite value or
+subnormal that u does not hold; only the last selection is cut to M+1.
 """
 
 from __future__ import annotations
@@ -45,16 +52,18 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 class AdvectionColumns(NamedTuple):
-    """Per column of `momentum_advection`: the M+1 interfaces (if periodic,
-    column M is column 0's alias and takes its values)."""
+    """Per column of `momentum_advection`'s rows, M+5 wide: the M+1
+    interfaces (if periodic, column M is column 0's alias and takes its
+    values), then four columns of padding, 0 in both rows; and the flat
+    indices of its unlimited curvatures."""
 
-    inv_dx: np.ndarray          # (2, M+1) 1/dx_half with a left (row 0) and
+    inv_dx: np.ndarray          # (2, M+5) 1/dx_half with a left (row 0) and
                                 # a right (row 1) neighbour, else 0
-    half_corr: np.ndarray       # (2, M+1) 1/2 (-1/2) where the upstream-left
+    half_corr: np.ndarray       # (2, M+5) 1/2 (-1/2) where the upstream-left
                                 # (right) curvature correction applies, else 0
                                 # (first order next to a transition or an end)
-    unlimited: np.ndarray       # minmod columns that an end column reads
-    unlimited_from: np.ndarray  # unlimited: these columns of the curvature
+    unlimited: np.ndarray       # the minmod entries that an end column reads
+    unlimited_from: np.ndarray  # unlimited: these entries of the curvature
 
 
 class End(NamedTuple):
@@ -192,6 +201,11 @@ class Grid:
         return _read_only(evolved)
 
     @cached_property
+    def evolved_u_ones(self) -> np.ndarray:
+        """Read-only `evolved_u` as floats, 1.0 and 0.0."""
+        return _read_only(self.evolved_u.astype(float))
+
+    @cached_property
     def advection_columns(self) -> AdvectionColumns:
         """The read-only `AdvectionColumns` of `momentum_advection`."""
         M, periodic = self.mesh.M, self.bounds.periodic
@@ -209,11 +223,13 @@ class Grid:
         # one column j+1; where an end column reads its own, the column that
         # shares it (1 or M-1) has no correction, so it may be unlimited.
         no_right, no_left = np.nonzero(~right)[0], np.nonzero(~left)[0]
+        row_start = (M + 5) * np.arange(self.layout.n_max)[:, None]
         return AdvectionColumns(*map(_read_only, (
-            np.where([left, right], 1.0 / self.dx_half, 0.0),
-            np.where([no_corr_m, no_corr_p], 0.0, [[0.5], [-0.5]]),
-            np.concatenate([no_right, no_left + 1]),
-            np.concatenate([no_right, no_left + 2]))))
+            *(np.pad(rows, ((0, 0), (0, 4))) for rows in (
+                np.where([left, right], 1.0 / self.dx_half, 0.0),
+                np.where([no_corr_m, no_corr_p], 0.0, [[0.5], [-0.5]]))),
+            (row_start + np.concatenate([no_right, no_left + 1])).ravel(),
+            (row_start + np.concatenate([no_right, no_left + 2])).ravel())))
 
     def __post_init__(self):
         """Reject boundary input that does not fit the layout."""
@@ -243,9 +259,12 @@ def upwind_interface(left, right, carrier):
 
 
 def minmod(x):
-    """minmod of each adjacent pair along the last axis of x."""
-    s, m = np.sign(x), np.abs(x)
-    return 0.5 * (s[..., :-1] + s[..., 1:]) * np.minimum(m[..., :-1], m[..., 1:])
+    """minmod of each adjacent pair along the last axis of x: the value of
+    smaller magnitude if the two have one sign, else 0 (the sign of a zero
+    aside)."""
+    a, b = x[..., :-1], x[..., 1:]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    return np.add(np.maximum(lo, 0.0, out=lo), np.minimum(hi, 0.0, out=hi), out=lo)
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +315,14 @@ def boundary_values(state: State, grid: Grid, t: float, u_full=None):
 # interface scalars
 
 
-def _seen_from_interfaces(a_g, grid: Grid, coarse):
-    """The cell columns of a_g ((rows, M+2), a ghost column at each end)
-    seen from each interface, as (left, right), each (rows, M+1). A coarse
-    interface of a transition cell sees `coarse(side)` instead, one value
-    per slot of the `RemapSide`; on a periodic grid interfaces 0 and M are
-    one. Views of a_g on a bounded grid without transitions."""
-    left, right = a_g[:, :-1], a_g[:, 1:]
+def _seen_from_interfaces(left, right, grid: Grid, coarse):
+    """Cell columns seen from each interface j = 0..M: column j of `left`
+    (`right`) is the cell on its left (right), as in a_g[:, :-1] (a_g[:, 1:])
+    of an (rows, M+2) a_g with ghosts; columns past M are carried along. A
+    coarse interface of a transition cell sees `coarse(side)` instead, one
+    value per slot of the `RemapSide`; on a periodic grid interfaces 0 and M
+    are one. (left, right) are returned as given on a bounded grid without
+    transitions."""
     if grid.layout.remap or grid.bounds.periodic:  # rewritten below
         left, right = left.copy(), right.copy()
     for side in grid.layout.remap:
@@ -310,8 +330,9 @@ def _seen_from_interfaces(a_g, grid: Grid, coarse):
         out[:, side.cell] = 0.0
         out[side.slot_layer, side.slot_cell] = coarse(side)
     if grid.bounds.periodic:
-        left[:, 0] = left[:, -1]
-        right[:, -1] = right[:, 0]
+        M = grid.mesh.M
+        left[:, 0] = left[:, M]
+        right[:, M] = right[:, 0]
     return left, right
 
 
@@ -319,8 +340,8 @@ def interface_cell_scalars(rho_g, grid: Grid):
     """Cell densities seen from each interface, in its layering: (rho_L,
     rho_R), each (n_max, M+1); a coarse interface of a transition cell sees
     the restriction of the cell's column."""
-    return _seen_from_interfaces(
-        rho_g, grid, lambda side: side.restrict(rho_g[side.layer, side.cell + 1]))
+    return _seen_from_interfaces(rho_g[:, :-1], rho_g[:, 1:], grid, lambda side:
+                                 side.restrict(rho_g[side.layer, side.cell + 1]))
 
 
 @dataclass
@@ -376,11 +397,12 @@ def free_surface_rhs(fs: FieldSet, grid: Grid) -> np.ndarray:
     return -(F[1:] - F[:-1]) / grid.mesh.dx
 
 
-def _cell_layer_flux(per_layer, grid: Grid):
+def _cell_layer_flux(per_layer, grid: Grid, share: bool = True):
     """Per-layer interface fluxes seen from each cell, in the cell layering.
 
     per_layer is (n_max, M+1) in interface layering; at its coarse
-    interface a transition cell layer takes its share of its parent's flux.
+    interface a transition cell layer takes its share of its parent's flux
+    (with share=False its parent's value, as a velocity is seen).
     Returns (left, right) of shape (n_max, M), views of per_layer unless
     the layout has transitions.
     """
@@ -391,7 +413,7 @@ def _cell_layer_flux(per_layer, grid: Grid):
         parent_flux = side.at_coarse(per_layer)[side.parent, side.cell]
         out = (left, right)[side.side]
         out[:, side.cell] = 0.0
-        out[side.layer, side.cell] = side.share * parent_flux
+        out[side.layer, side.cell] = side.share * parent_flux if share else parent_flux
     return left, right
 
 
@@ -434,10 +456,9 @@ def vertical_density_term(rho_stage, G, grid: Grid) -> np.ndarray:
     is unmasked above the live interfaces, where G is zero."""
     n_max = grid.layout.n_max
     rho_v = upwind_interface(rho_stage[1:], rho_stage[:-1], G[1:n_max, :])
-    # layer k: the flux rho_v G through interface k+1 less that through k
-    out = np.zeros(rho_stage.shape)
-    np.multiply(rho_v, G[1:n_max, :], out=out[:-1])
-    out[1:] -= out[:-1]
+    flux = np.zeros(G.shape)  # rho_v G through each interface, 0 at the ends
+    np.multiply(rho_v, G[1:n_max, :], out=flux[1:n_max])
+    out = flux[1:] - flux[:-1]  # layer k: through interface k+1 less through k
     return np.divide(out, grid.mesh.dx, out=out)
 
 
@@ -451,35 +472,47 @@ def momentum_advection(fs: FieldSet, grid: Grid, limiter: bool) -> np.ndarray:
     difference across each of its cells as it sees a cell scalar: that of a
     transition cell in the cell's layering, restricted at its coarse face."""
     u, cols, M = fs.u, grid.advection_columns, grid.mesh.M
-    pad = np.zeros((grid.layout.n_max, M + 5))  # two zero columns past each end
+    n, W = grid.layout.n_max, M + 5
+
+    def rows(a, first=0):  # the (n_max, M+5) rows of a flat pass from `first`
+        return a[first:first + n * W].reshape(n, W)
+
+    # u at flat index k*W + 2 + j: two zero columns past each end of a row,
+    # four zeros of slack after the last
+    flat = np.zeros(n * W + 4)
+    pad, pad_u = rows(flat), rows(flat, 2)  # pad_u[:, :M + 1] is u
     pad[:, 2:-2] = u
     if grid.bounds.periodic:  # wrap
         pad[:, :2], pad[:, -2:] = u[:, M - 2:M], u[:, 1:3]
-    D = pad[:, 1:] - pad[:, :-1]  # column c+2: the difference across cell c
-    DD = D[:, 1:] - D[:, :-1]
+    D = flat[1:] - flat[:-1]  # at i + 2: the difference across cell i
+    DD = D[1:] - D[:-1]       # at i: d1 - d0 of interface i, at i + 2: e2 - e1
     if limiter:
         lim = minmod(DD)
-        lim[:, cols.unlimited] = DD[:, cols.unlimited_from]
-        corr = lim[:, :-1], lim[:, 1:]
+        lim[cols.unlimited] = DD[cols.unlimited_from]
+        corr = rows(lim), rows(lim, 1)
     else:
-        corr = DD[:, :-2], DD[:, 2:]  # d1 - d0 and e2 - e1
+        corr = rows(DD), rows(DD, 2)
 
     def across(side, fine, coarse):  # the right face's value less the left's
         return fine - coarse if side.side == 0 else coarse - fine
 
     for side in grid.layout.remap:  # the fine face against the coarse injected
         fine = u[side.layer, side.cell + 1 - side.side]
-        D[side.layer, side.cell + 2] = across(
+        rows(D, 2)[side.layer, side.cell] = across(
             side, fine, side.at_coarse(u)[side.parent, side.cell])
-    d1, e1 = _seen_from_interfaces(D[:, 1:-1], grid, lambda side: across(
+    d1, e1 = _seen_from_interfaces(rows(D, 1), rows(D, 2), grid, lambda side: across(
         side, side.restrict(u[side.layer, side.cell + 1 - side.side]),
         side.at_coarse(u)[side.slot_layer, side.slot_cell]))  # backward, forward
     # upstream on the left (k = 0, for u > 0) and on the right (k = 1),
     # corrected by the signed half of a curvature
-    s = [(diff + cols.half_corr[k] * corr[k]) * cols.inv_dx[k]
-         for k, diff in enumerate((d1, e1))]
+    s = [np.multiply(cols.half_corr[k], corr[k]) for k in (0, 1)]
+    for k, diff in enumerate((d1, e1)):
+        s[k] += diff
+        s[k] *= cols.inv_dx[k]
     # u == 0 takes the upstream-right slope, and gives 0 all the same
-    return u * np.where(u > 0.0, *s)
+    adv = np.where(pad_u > 0.0, *s)
+    adv *= pad_u
+    return adv[:, :M + 1]
 
 
 def baroclinic_gradient(fs: FieldSet, grid: Grid) -> np.ndarray:
@@ -512,7 +545,7 @@ def _transfer_at_velocity_points(G, grid: Grid):
     # an end interface sees its cell on both sides
     G_g = np.concatenate([G[:, :1], G, G[:, -1:]], axis=1)
     GL, GR = _seen_from_interfaces(
-        G_g, grid, lambda side: G[side.slot_first, side.slot_cell])
+        G_g[:, :-1], G_g[:, 1:], grid, lambda side: G[side.slot_first, side.slot_cell])
     return 0.5 * (GL + GR)
 
 
@@ -592,7 +625,7 @@ class Tendencies:
 def barotropic_gradient(fs: FieldSet, grid: Grid) -> np.ndarray:
     """-g d eta/dx at the prognostic velocities, zero elsewhere."""
     grad = grid.grad_factor * (fs.eta_g[1:] - fs.eta_g[:-1])
-    return np.where(grid.evolved_u, grad, 0.0)
+    return grid.evolved_u_ones * grad
 
 
 def momentum_stiff(fs: FieldSet, A: VerticalOperator | None, grid: Grid) -> np.ndarray:

@@ -28,13 +28,18 @@ def check_state(h, h_min: float, u=None, rho=None, u_max=None) -> None:
     where given) has a non-finite value, a depth at or below h_min, or, where
     u_max is given, a velocity beyond it; the tests run in that order and
     only a failed one locates its offender (the first non-finite value in
-    (layer, column) order, the shallowest cell, the largest |u|)."""
+    (layer, column) order, the shallowest cell, the largest |u|). Each test
+    reads one min and one max per field: a NaN propagates to both, without a
+    warning."""
+    extremes = {}
     for name, a in (("eta", h), ("u", u), ("rho", rho)):
-        if a is not None and not np.isfinite(a).all():
-            raise StepFailure("non-finite value", name, a, np.argmin(np.isfinite(a)))
-    if (h <= h_min).any():
+        if a is not None:
+            lo, hi = extremes[name] = a.min(), a.max()
+            if not -np.inf < lo <= hi < np.inf:
+                raise StepFailure("non-finite value", name, a, np.argmin(np.isfinite(a)))
+    if extremes["eta"][0] <= h_min:
         raise StepFailure(f"depth at or below h_min={h_min:g}", "eta", h, np.argmin(h))
-    if u_max is not None and np.abs(u).max() > u_max:
+    if u_max is not None and max(-extremes["u"][0], extremes["u"][1]) > u_max:
         raise StepFailure(f"|u| beyond {u_max:g}", "u", u, np.argmax(np.abs(u)))
 
 

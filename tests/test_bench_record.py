@@ -1,11 +1,15 @@
 """The paired benchmark record (`tools/bench_record.py`): the runs of the
 parent and of the change alternate, each side keeps its own runs, both run
-from exported trees, and the record names the host."""
+from exported trees, the record names the host and holds each side's final
+state hash."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
 import numpy as np
+
+import mlswe as m
 
 BENCH_RECORD = Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
 
@@ -29,7 +33,12 @@ def test_record_alternates_parent_and_change(monkeypatch, tmp_path, capsys):
                    for k in ("setup_s", "run_s", "step_ms", "peak_rss_mb")}
         return {"metrics": metrics, "correct": n, "attempted": n, "failed": 0}
 
+    def fake_hash(root, workload):  # the change moves tidal_nvar4's bits
+        side = {parent: "parent", change: "change"}[root]
+        return workload + (side if workload == "tidal_nvar4" else "")
+
     monkeypatch.setattr(br, "bench_run", fake_run)
+    monkeypatch.setattr(br, "final_state_hash", fake_hash)
     monkeypatch.setattr(br, "speed_probe", lambda: 1.0)
     parent, change = tmp_path / "parent", tmp_path / "change"
     result = br.record(parent, change)
@@ -50,6 +59,9 @@ def test_record_alternates_parent_and_change(monkeypatch, tmp_path, capsys):
         change_n = [order[i] for i, s in enumerate(sides) if s == "change"]
         assert [r["step_ms"] for r in entry["parent"]["end_to_end"]["runs"]] == parent_n
         assert [r["step_ms"] for r in entry["end_to_end"]["runs"]] == change_n
+        for summary, root in ((entry, change), (entry["parent"], parent)):
+            assert summary["final_state_sha256"] == fake_hash(root, name)
+        assert entry["final_states_match"] == (name != "tidal_nvar4")
     # the medians printed per workload and side include run_s
     printed = capsys.readouterr().err.splitlines()
     assert len(printed) == 2 * len(result["workloads"])
@@ -70,7 +82,12 @@ def test_both_sides_run_from_alike_exports(monkeypatch):
                    for k in ("setup_s", "run_s", "step_ms", "peak_rss_mb")}
         return {"metrics": metrics, "correct": 1, "attempted": 1, "failed": 0}
 
+    def fake_hash(root, workload):
+        roots.add(root)
+        return "0" * 64
+
     monkeypatch.setattr(br, "bench_run", fake_run)
+    monkeypatch.setattr(br, "final_state_hash", fake_hash)
     monkeypatch.setattr(br, "speed_probe", lambda: 1.0)
     with br.exported_trees("HEAD") as (parent, change, commit):
         result = br.record(parent, change)
@@ -99,3 +116,17 @@ def test_record_names_the_host(monkeypatch, tmp_path):
     cpuinfo.write_text("processor\t: 0\nmodel name\t: Some CPU @ 2.0GHz\nflags\t: fpu\n")
     assert br.cpu_model(cpuinfo) == "Some CPU @ 2.0GHz"
     assert br.cpu_model(tmp_path / "absent") is None
+
+
+def test_final_state_hash_is_the_workloads_run_case():
+    """The hash is that of the bytes of the final (t, eta, u, rho) of a
+    `run_case` of the workload, run in the given tree, which it leaves as
+    it was."""
+    br = _load_bench_record()
+    bench = sorted((br.ROOT / "bench").rglob("*"))
+    result = m.run_case(m.case_internal_wave())  # workloads.case("internal_wave_cli")
+    s = result.states[-1]
+    arrays = (np.float64(result.times[-1]), s.eta, s.u, s.rho)
+    expected = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+    assert br.final_state_hash(br.ROOT, "internal_wave_cli") == expected
+    assert sorted((br.ROOT / "bench").rglob("*")) == bench

@@ -80,6 +80,21 @@ def test_courant_numbers_hand_computed():
                                   rel=1e-13)
 
 
+def test_courant_numbers_see_a_transition_cell_in_its_layering():
+    """A depth-uniform U on the two interfaces of any one cell of the nvar4
+    layout (4 layers on the left, 10 on the right) gives that cell ubar = U:
+    at the transition cell each fine layer sees its coarse parent's U."""
+    grid, state = m.build_problem(m.case_tidal(layout="nvar4"))
+    state.rho[:] = 0.0  # C_vel = max |ubar| dt / dx
+    dx, U = grid.mesh.dx, 0.5
+    for i in range(grid.mesh.M):
+        state.u[:] = 0.0
+        for j in (i, i + 1):
+            state.u[:grid.layout.n_half[j], j] = U
+        _, c_vel = m.courant_numbers(state, grid, dx[i])
+        assert c_vel == pytest.approx(U, rel=1e-14, abs=0.0), i
+
+
 def test_adaptive_dt_inverts_courant_and_caps():
     grid, state = smooth_periodic_problem()
     per_unit_dt = m.courant_numbers(state, grid, 1.0)

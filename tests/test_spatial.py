@@ -46,6 +46,15 @@ def test_minmod_properties():
     assert minmod(np.array([1.0, 2.0, -1.0, -3.0, -2.0])).tolist() == [1.0, 0.0, -1.0, -2.0]
 
 
+def test_minmod_keeps_the_values_of_sign_and_abs():
+    """max(min, 0) + min(max, 0) equals the sign-and-abs form on every pair
+    of signed zeros, opposite signs and equal magnitudes."""
+    values = np.array([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -3.0, 5e-324, -1e308])
+    a, b = (pair.ravel() for pair in np.meshgrid(values, values))
+    expected = 0.5 * (np.sign(a) + np.sign(b)) * np.minimum(np.abs(a), np.abs(b))
+    assert np.all(minmod(np.stack([a, b], axis=-1))[:, 0] == expected)
+
+
 # ---------------------------------------------------------------------------
 # boundary handling
 

@@ -14,7 +14,9 @@ change with its parent on a shared machine. Writes BENCH_<N>.json at the root of
 and side (this checkout at the top level, REF under "parent") the
 end-to-end metrics of every run in pair order and, whole, the run of
 lowest step_ms; the per-layer metrics; the correct/attempted/failed counts
-of each run; and a speed probe taken before and after the workload's runs.
+of each run; a speed probe taken before and after the workload's runs;
+and the sha256 of the final state of a `run_case` of the workload, run in
+each side's tree, with whether the two sides' hashes match.
 Also the line count of src/mlswe on both sides, REF and its commit, and the
 machine the runs were made on, with its CPU model, the OPENBLAS_CORETYPE
 the runs inherit and numpy's version, so that a record from another host can
@@ -54,6 +56,34 @@ def bench_run(root, command, workload, seconds, trace) -> dict:
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(args)} in {root} failed:\n{proc.stderr.strip()}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+# run in a tree with its root as argv[1] and the workload as argv[2]: the
+# sha256 of the bytes of the final state (t, eta, u, rho) of the workload's
+# `run_case`
+_FINAL_STATE_HASH = """
+import hashlib, sys
+sys.path.insert(0, sys.argv[1] + "/bench")
+import numpy as np
+import workloads  # puts the tree's src first on sys.path
+import mlswe
+result = mlswe.run_case(workloads.case(sys.argv[2]))
+s = result.states[-1]
+arrays = (np.float64(result.times[-1]), s.eta, s.u, s.rho)
+print(hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest())
+"""
+
+
+def final_state_hash(root, workload) -> str:
+    """The sha256 of the final state of `workloads.case(workload)` run by
+    `run_case` in the tree at `root`, which is left as it was (no bytecode
+    is written)."""
+    args = [sys.executable, "-B", "-c", _FINAL_STATE_HASH, str(root), workload]
+    proc = subprocess.run(args, cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"the final state of {workload} in {root} failed:\n"
+                           f"{proc.stderr.strip()}")
+    return proc.stdout.strip()
 
 
 def _values(run) -> dict:
@@ -166,6 +196,10 @@ def record(parent_root, change_root) -> dict:
         entry = _summary(runs["change"], traced["change"])
         entry["probe_us"] = [probe_before, speed_probe()]
         entry["parent"] = _summary(runs["parent"], traced["parent"])
+        for summary, root in ((entry, change_root), (entry["parent"], parent_root)):
+            summary["final_state_sha256"] = final_state_hash(root, name)
+        entry["final_states_match"] = (
+            entry["final_state_sha256"] == entry["parent"]["final_state_sha256"])
         workloads[name] = entry
         for side in roots:
             med = {k: statistics.median(_values(r)[k] for r in runs[side])
