@@ -60,13 +60,20 @@ def stream_case(spec: CaseSpec, grid: Grid | None = None,
     between snapshots. A step's StepFailure (a non-finite value, a dry cell,
     a runaway velocity) ends the run with the verdict "unstable" instead of
     raising, and `report.failure` says at which step and time, and where. A
-    start state given here is validated first: a bad one raises StepFailure,
-    named before a step can spread it.
+    start state given here is validated first, named before a step can
+    spread it: a non-finite value or a dry cell raises StepFailure, a
+    nonzero velocity or density above the live layers, or a nonzero velocity
+    at an end of prescribed discharge, ValueError.
     """
     if grid is None or state is None:
         grid, state = build_problem(spec)
     else:
         state.validate(grid.mesh, grid.layout)
+        for end in grid.discharge_ends:  # a step sets it, courant_numbers reads it
+            k = np.flatnonzero(state.u[:, end.iface])
+            if k.size:
+                raise ValueError(f"u[{k[0]}, {end.iface}] = {state.u[k[0], end.iface]:.6g}"
+                                 " is at an end of prescribed discharge")
     integ = INTEGRATORS[spec.integrator](grid, limiter=spec.limiter)
     report = RunReport(case=spec.name, integrator=spec.integrator)
     return grid, report, _advance(spec, grid, state, integ, report)
@@ -156,7 +163,6 @@ def error_norms(state: State, ref: State, grid: Grid) -> dict:
 
     h_ref = ref.eta - mesh.b
     w = layout.l_int * h_ref[None, :] * mesh.dx[None, :]
-    w = np.where(layout.active_int(), w, 0.0)
 
     out = {}
     d_eta = state.eta - ref.eta

@@ -19,6 +19,12 @@ not masked, and the one full mask left is `barotropic_gradient`'s, whose
 sums of the fractions, metric factors) is built once, read-only, as a cached
 property of `Grid`; the operators never write into their inputs.
 
+The operators check nothing: they trust that the state is finite, no cell
+is dry and the padding is zero. A state is checked once, where it is
+formed: a run's start by `State.validate`, a stage or a step's result by
+the integrator that forms it, and an outside caller's state by
+`compute_tendencies`.
+
 Across a layer-count transition an interface sees a cell's densities,
 transfer field or velocity differences through one remap,
 `_seen_from_interfaces`, and a cell sees interface fluxes through
@@ -278,7 +284,6 @@ def boundary_velocities(state: State, grid: Grid, t: float) -> np.ndarray:
     for end in grid.discharge_ends:
         nb, i = grid.layout.n_half[end.iface], end.cell
         u[:nb, end.iface] = end.flux(t) / (state.eta[i] - grid.mesh.b[i])
-        u[nb:, end.iface] = 0.0
     if grid.bounds.periodic:
         u[:, -1] = u[:, 0]
     return u
@@ -365,8 +370,6 @@ def prepare_fields(state: State, grid: Grid, t: float, u_full=None) -> FieldSet:
     u_full, eta_g, rho_g = boundary_values(state, grid, t, u_full)
 
     h_g = eta_g - grid.b_g
-    check_state(h_g[1:-1], grid.h_min)
-
     ubar = (layout.l_half * u_full).sum(axis=0)
     h_half = upwind_interface(h_g[:-1], h_g[1:], ubar)
     flux = layer_flux(u_full, h_half, grid, t)
@@ -658,7 +661,10 @@ def density_tendency(fs: FieldSet, G, rho, grid: Grid) -> np.ndarray:
 
 def compute_tendencies(state: State, grid: Grid, t: float, *,
                        limiter: bool = False) -> Tendencies:
-    """Full spatial right-hand side at (state, t)."""
+    """Full spatial right-hand side at (state, t). The depth is checked
+    first (StepFailure on a dry cell); the caller answers for the rest of
+    what the operators trust: finite values and zero padding."""
+    check_state(state.depth(grid.mesh), grid.h_min)
     fs = prepare_fields(state, grid, t)
     G = mass_transfer(fs.flux, grid)
     A = viscous_coefficients(grid, fs.h_half, fs.u)

@@ -70,6 +70,12 @@ class State:
         if self.u.shape != (n_max, M + 1):
             raise ValueError("velocity array inconsistent with mesh/layout")
         check_state(self.depth(mesh), H_MIN_DEFAULT, self.u, self.rho)
+        for name, a, live in (("u", self.u, layout.active_half()),
+                              ("rho", self.rho, layout.active_int())):
+            padding = a * ~live  # the operators trust it to be zero
+            if padding.any():
+                k, j = np.argwhere(padding)[0]
+                raise ValueError(f"{name}[{k}, {j}] = {a[k, j]:.6g} is above the live layers")
 
 
 def rest_state(mesh, layout, eta0=0.0) -> State:
@@ -119,5 +125,4 @@ def total_volume(state: State, mesh) -> float:
 def total_density_mass(state: State, mesh, layout) -> float:
     """Density-perturbation content: sum_i sum_a rho l_int h dx."""
     h = state.eta - mesh.b
-    act = layout.active_int()
-    return float(np.sum(np.where(act, state.rho * layout.l_int, 0.0) * (h * mesh.dx)))
+    return float(np.sum(state.rho * layout.l_int * (h * mesh.dx)))

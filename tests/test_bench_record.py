@@ -1,10 +1,12 @@
 """The paired benchmark record (`tools/bench_record.py`): the runs of the
 parent and of the change alternate, each side keeps its own runs, both run
 from exported trees, the record names the host and holds each side's final
-state hash."""
+state hash and the paired step timing of `tools/step_ab.py`, both taken
+with the benchmark's one BLAS thread."""
 
 import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +39,15 @@ def test_record_alternates_parent_and_change(monkeypatch, tmp_path, capsys):
         side = {parent: "parent", change: "change"}[root]
         return workload + (side if workload == "tidal_nvar4" else "")
 
+    def fake_steps(root, parent_src, cases, blocks, steps):
+        assert (root, parent_src, blocks, steps) == (
+            change, parent / "src", br.STEP_AB_BLOCKS, br.STEP_AB_STEPS)
+        calls.append((*cases, "step_ab", None))
+        return {case: [0.99, blocks - 1, blocks, case != "tidal_nvar4"] for case in cases}
+
     monkeypatch.setattr(br, "bench_run", fake_run)
     monkeypatch.setattr(br, "final_state_hash", fake_hash)
+    monkeypatch.setattr(br, "paired_steps", fake_steps)
     monkeypatch.setattr(br, "speed_probe", lambda: 1.0)
     parent, change = tmp_path / "parent", tmp_path / "change"
     result = br.record(parent, change)
@@ -62,10 +71,18 @@ def test_record_alternates_parent_and_change(monkeypatch, tmp_path, capsys):
         for summary, root in ((entry, change), (entry["parent"], parent)):
             assert summary["final_state_sha256"] == fake_hash(root, name)
         assert entry["final_states_match"] == (name != "tidal_nvar4")
-    # the medians printed per workload and side include run_s
+        # step_ab once, after the workload's timed runs; differing states
+        # are recorded, not raised
+        assert [side for w, side, _ in calls if w == name][2 * br.PAIRS + 2:] == ["step_ab"]
+        assert entry["step_ab"] == {"ratio": 0.99, "won": br.STEP_AB_BLOCKS - 1,
+                                    "blocks": br.STEP_AB_BLOCKS,
+                                    "steps": br.STEP_AB_STEPS,
+                                    "states_equal": name != "tidal_nvar4"}
+    # the medians printed per workload and side include run_s, then step_ab
     printed = capsys.readouterr().err.splitlines()
-    assert len(printed) == 2 * len(result["workloads"])
-    assert all("'run_s': " in line for line in printed)
+    assert len(printed) == 3 * len(result["workloads"])
+    assert all("'run_s': " in line for line in printed[0::3] + printed[1::3])
+    assert all(": step_ab {'ratio': 0.99" in line for line in printed[2::3])
 
 
 def test_both_sides_run_from_alike_exports(monkeypatch):
@@ -86,8 +103,13 @@ def test_both_sides_run_from_alike_exports(monkeypatch):
         roots.add(root)
         return "0" * 64
 
+    def fake_steps(root, parent_src, cases, blocks, steps):
+        roots.update((root, parent_src.parent))
+        return {case: [1.0, 0, blocks, True] for case in cases}
+
     monkeypatch.setattr(br, "bench_run", fake_run)
     monkeypatch.setattr(br, "final_state_hash", fake_hash)
+    monkeypatch.setattr(br, "paired_steps", fake_steps)
     monkeypatch.setattr(br, "speed_probe", lambda: 1.0)
     with br.exported_trees("HEAD") as (parent, change, commit):
         result = br.record(parent, change)
@@ -121,12 +143,49 @@ def test_record_names_the_host(monkeypatch, tmp_path):
 def test_final_state_hash_is_the_workloads_run_case():
     """The hash is that of the bytes of the final (t, eta, u, rho) of a
     `run_case` of the workload, run in the given tree, which it leaves as
-    it was."""
+    it was. The hash runs with one BLAS thread and this process with its
+    default, so the workload is the RK3 lock exchange, whose bits did not
+    move with the thread count or the BLAS kernel (ROADMAP item 13); the
+    internal wave's did."""
     br = _load_bench_record()
     bench = sorted((br.ROOT / "bench").rglob("*"))
-    result = m.run_case(m.case_internal_wave())  # workloads.case("internal_wave_cli")
+    # workloads.case("lock_exchange_rk3")
+    result = m.run_case(m.case_lock_exchange(integrator="rk3", dt=None, target_ccel=0.9))
     s = result.states[-1]
     arrays = (np.float64(result.times[-1]), s.eta, s.u, s.rho)
     expected = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
-    assert br.final_state_hash(br.ROOT, "internal_wave_cli") == expected
+    assert br.final_state_hash(br.ROOT, "lock_exchange_rk3") == expected
     assert sorted((br.ROOT / "bench").rglob("*")) == bench
+
+
+def test_children_take_the_benchmarks_thread_settings(monkeypatch):
+    """The final-state hash and step_ab run in children with each of the
+    THREAD_VARS that bench/run.py sets for its workers set as it sets them,
+    read from that file; a BLAS reads them only when numpy loads."""
+    br = _load_bench_record()
+    monkeypatch.syspath_prepend(str(br.ROOT / "bench"))
+    spec = importlib.util.spec_from_file_location("bench_run", br.ROOT / "bench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    assert run.THREAD_VARS and all(br.thread_env()[v] == "1" for v in run.THREAD_VARS)
+    seen = f"import json, os; print(json.dumps([os.environ.get(v) for v in {run.THREAD_VARS!r}]))"
+    monkeypatch.setattr(br, "_FINAL_STATE_HASH", seen)
+    monkeypatch.setattr(br, "_STEP_AB", seen)
+    ones = ["1"] * len(run.THREAD_VARS)
+    assert json.loads(br.final_state_hash(br.ROOT, "internal_wave_cli")) == ones
+    assert br.paired_steps(br.ROOT, br.ROOT / "src", ["lock_exchange_rk3"], 30, 1) == ones
+
+
+def test_step_ab_runs_in_a_child_and_leaves_the_tree_as_it_was(tmp_path, monkeypatch):
+    """step_ab's comparison run for real in a child process, in an export
+    of the checkout against its own sources: byte-equal states and a ratio
+    per block pair, and no file written into the tree, not even where the
+    environment would let Python write bytecode."""
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    br = _load_bench_record()
+    br.export_checkout(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    result = br.paired_steps(tmp_path, tmp_path / "src", ["lock_exchange_rk3"], 30, 1)
+    ratio, won, blocks, same = result["lock_exchange_rk3"]
+    assert blocks == 30 and 0 <= won <= 30 and ratio > 0.0 and same is True
+    assert sorted(tmp_path.rglob("*")) == before

@@ -214,6 +214,34 @@ def test_non_finite_start_is_named_before_a_step():
     assert np.isnan(f.value) and "rho[3, 7]" in str(f)
 
 
+def test_start_padding_is_refused():
+    """The operators trust u and rho to be zero above the live layers. A
+    start that is not would be carried and evolved there, so it is refused
+    before a step, at its first such entry; a non-finite value there is
+    still named as one."""
+    spec = m.case_tidal("nvar4", M=40)
+    grid, start = m.build_problem(spec)
+    for name, live in (("u", grid.layout.active_half()), ("rho", grid.layout.active_int())):
+        k, j = np.argwhere(~live)[0]
+        for value, error in ((0.02, ValueError), (np.nan, m.StepFailure)):
+            state = start.copy()
+            getattr(state, name)[~live] = value
+            with pytest.raises(error, match=rf"{name}\[{k}, {j}\]"):
+                m.stream_case(spec, grid, state)
+
+
+@pytest.mark.parametrize("column", [0, -1])
+def test_start_wall_velocity_is_refused(column):
+    """A step sets the velocity at a wall, but the Courant numbers of the
+    start read it: u = 1 there would give an adaptive RK3 run other steps."""
+    spec = m.case_lock_exchange(integrator="rk3", dt=None, target_ccel=0.9, t_final=5.0)
+    grid, state = m.build_problem(spec)
+    state.u[:, column] = 1.0
+    j = column % (grid.mesh.M + 1)
+    with pytest.raises(ValueError, match=rf"^u\[0, {j}\] = 1 is at an end of prescribed"):
+        m.stream_case(spec, grid, state)
+
+
 def test_streamed_run_holds_no_list_of_states(tmp_path):
     """Written as it is taken, a run keeps no snapshot: 41 snapshots of the
     same 40 steps peak less than one state above 3."""

@@ -208,3 +208,39 @@ def test_periodic_layout_invariants(basin):
     tend = m.compute_tendencies(rest, flat, 0.0)
     for d in (tend.d_eta, tend.d_u_stiff, tend.d_u_nonstiff, tend.d_r):
         assert np.all(d == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# what the operators trust
+
+
+@pytest.mark.parametrize("ends", [*((a, b) for a in KINDS for b in KINDS), "periodic"])
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(basin=basins())
+def test_steps_keep_the_padding_and_the_fixed_columns(ends, basin):
+    """The operators multiply the padding above the live layers instead of
+    masking it, and a run checks it only at its start: after the steps,
+    every u above n_half and every rho above n_int is +0.0, compared as
+    bytes (so -0.0 fails). From a start that has them, the velocity at an
+    end of prescribed discharge stays 0 and a periodic column M stays column
+    0's. `_problem` puts velocities at the walls, which RK3 carries and IMEX
+    zeroes; here they are zeroed first."""
+    if ends == "periodic":
+        grid, start = _problem(*basin, bounds=m.periodic())
+    else:
+        grid, start = _problem(*basin)
+        rho = np.linspace(0.01, 0.02, grid.layout.n_half[0])
+        grid = replace(grid, bounds=m.Boundaries(*(
+            _condition(kind, rho, q, d_eta)
+            for kind, (q, d_eta, _) in zip(ends, (END_A, END_B)))))
+    fixed = [end.iface for end in grid.discharge_ends]
+    start.u[:, fixed] = 0.0
+    if grid.bounds.periodic:
+        start.u[:, -1] = start.u[:, 0]
+    padding = ~grid.layout.active_half(), ~grid.layout.active_int()
+    for cls, dt in STEPPERS:
+        end = _run(cls, dt, grid, start)
+        for a, pad in zip((end.u, end.rho), padding):
+            assert a[pad].tobytes() == bytes(8 * np.count_nonzero(pad))
+        assert not end.u[:, fixed].any()
+        assert end.u[:, -1].tobytes() == end.u[:, 0].tobytes() or not grid.bounds.periodic

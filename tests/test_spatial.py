@@ -504,7 +504,7 @@ def test_dry_state_raises():
     st = rest_state(grid.mesh, grid.layout, eta0=0.4)
     st.eta[3] = -1.0
     with pytest.raises(StepFailure) as failure:
-        prepare_fields(st, grid, 0.0)
+        compute_tendencies(st, grid, 0.0)
     assert (failure.value.field, failure.value.layer, failure.value.column) == ("eta", None, 3)
 
 

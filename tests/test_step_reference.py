@@ -171,7 +171,7 @@ def test_compute_tendencies_is_the_sum_of_its_pieces(name):
 WORK = ("viscous_coefficients", "prepare_fields", "boundary_values",
         "interface_cell_scalars", "upwind_interface", "mass_transfer",
         "density_rhs_flux", "vertical_density_term", "compute_tendencies",
-        "_thomas", "solve_banded")
+        "check_state", "_thomas", "solve_banded")
 
 
 def _two_steps_counted(name, monkeypatch):
@@ -211,14 +211,15 @@ def test_imex_step_work(name, solves, monkeypatch):
     term per stage. Upwinding: two per field preparation (height and
     density), one for each carried flux and one per vertical density term;
     a stage's own flux reuses the density its field preparation
-    upwinded."""
+    upwinded. Each state is checked once: a stage's depth after its solve,
+    the result in full; the level-n state was checked when it was formed."""
     calls, integ = _two_steps_counted(name, monkeypatch)
     banded = 3 if integ.grid.bounds.periodic else 2
     assert calls == {"viscous_coefficients": 2, "prepare_fields": 6,
                      "boundary_values": 6, "interface_cell_scalars": 6,
                      "upwind_interface": 22, "mass_transfer": 10,
                      "density_rhs_flux": 10, "vertical_density_term": 6,
-                     "compute_tendencies": 0, "_thomas": 2 * solves,
+                     "compute_tendencies": 0, "check_state": 6, "_thomas": 2 * solves,
                      "solve_banded": 2 * banded}
     assert (integ.n_rhs, integ.n_implicit) == (6, 4)
 
@@ -227,10 +228,12 @@ def test_imex_step_work(name, solves, monkeypatch):
 def test_rk3_step_work(name, monkeypatch):
     """Per step: one full right-hand side per stage, each with its one field
     preparation (which upwinds height and density once each) and its
-    vertical density term (which upwinds once), and no implicit solve."""
+    vertical density term (which upwinds once), and no implicit solve. A
+    stage's state is checked twice: its depth where the right-hand side
+    reads it, in full where the stage forms it."""
     calls, integ = _two_steps_counted(name, monkeypatch)
     assert calls == {**dict.fromkeys(WORK, 6), "upwind_interface": 18,
-                     "_thomas": 0, "solve_banded": 0}
+                     "check_state": 12, "_thomas": 0, "solve_banded": 0}
     assert integ.n_rhs == 6
 
 

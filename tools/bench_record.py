@@ -15,8 +15,15 @@ and side (this checkout at the top level, REF under "parent") the
 end-to-end metrics of every run in pair order and, whole, the run of
 lowest step_ms; the per-layer metrics; the correct/attempted/failed counts
 of each run; a speed probe taken before and after the workload's runs;
-and the sha256 of the final state of a `run_case` of the workload, run in
-each side's tree, with whether the two sides' hashes match.
+the sha256 of the final state of a `run_case` of the workload, run in
+each side's tree, with whether the two sides' hashes match; and the paired
+step timing of `tools/step_ab.py` (STEP_AB_BLOCKS alternated blocks of
+STEP_AB_STEPS steps, run from the change's tree against the parent's
+package): the median change/parent ratio, the blocks the change won, the
+blocks and steps per block, and whether the two sides' states were
+byte-equal after the warm-up and after the blocks. The hash and the step
+timing run with one BLAS thread, as the benchmark's workers do, and write
+no bytecode into either tree.
 Also the line count of src/mlswe on both sides, REF and its commit, and the
 machine the runs were made on, with its CPU model, the OPENBLAS_CORETYPE
 the runs inherit and numpy's version, so that a record from another host can
@@ -29,6 +36,7 @@ checkout it belongs to.
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import json
 import os
@@ -45,6 +53,19 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 PAIRS = 10  # untraced runs per workload and side
+STEP_AB_BLOCKS, STEP_AB_STEPS = 40, 20  # step_ab blocks per workload, steps per block
+
+
+def thread_env() -> dict:
+    """This process's environment with each variable of bench/run.py's
+    THREAD_VARS set to "1", as that script sets it for its workers: one BLAS
+    thread. The list is read from the file, not imported with it, because a
+    BLAS reads these variables once, when numpy loads."""
+    for node in ast.parse((ROOT / "bench" / "run.py").read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "THREAD_VARS" for t in node.targets):
+            return dict(os.environ, **{v: "1" for v in ast.literal_eval(node.value)})
+    raise LookupError("bench/run.py assigns no THREAD_VARS")
 
 
 def bench_run(root, command, workload, seconds, trace) -> dict:
@@ -74,16 +95,42 @@ print(hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest())
 """
 
 
-def final_state_hash(root, workload) -> str:
-    """The sha256 of the final state of `workloads.case(workload)` run by
-    `run_case` in the tree at `root`, which is left as it was (no bytecode
-    is written)."""
-    args = [sys.executable, "-B", "-c", _FINAL_STATE_HASH, str(root), workload]
-    proc = subprocess.run(args, cwd=root, capture_output=True, text=True)
+def _child(script, root, *args) -> str:
+    """The stdout of `script` run with one BLAS thread (`thread_env`) in
+    the tree at `root`, with argv [root, *args]; it writes no bytecode."""
+    args = [sys.executable, "-B", "-c", script, str(root), *map(str, args)]
+    proc = subprocess.run(args, cwd=root, env=thread_env(), capture_output=True,
+                          text=True)
     if proc.returncode != 0:
-        raise RuntimeError(f"the final state of {workload} in {root} failed:\n"
+        raise RuntimeError(f"{' '.join(args[5:])} in {root} failed:\n"
                            f"{proc.stderr.strip()}")
     return proc.stdout.strip()
+
+
+def final_state_hash(root, workload) -> str:
+    """The sha256 of the final state of `workloads.case(workload)` run by
+    `run_case` in the tree at `root`, which is left as it was."""
+    return _child(_FINAL_STATE_HASH, root, workload)
+
+
+# run in a tree with its root as argv[1]: tools/step_ab.py's `compare` of
+# that tree against the package under argv[2] on the workloads argv[3]
+# (comma-separated) in argv[4] blocks of argv[5] steps, as JSON
+_STEP_AB = """
+import json, sys
+sys.path.insert(0, sys.argv[1] + "/tools")
+import step_ab
+cases, blocks, steps = sys.argv[3].split(","), int(sys.argv[4]), int(sys.argv[5])
+print(json.dumps(step_ab.compare(sys.argv[2], cases, blocks, steps)))
+"""
+
+
+def paired_steps(root, parent_src, cases, blocks, steps) -> dict:
+    """tools/step_ab.py's `compare` of the tree at `root` against the
+    package under `parent_src`: case -> [median change/parent ratio, blocks
+    won, blocks, states byte-equal], with one BLAS thread and no bytecode
+    written into either tree."""
+    return json.loads(_child(_STEP_AB, root, parent_src, ",".join(cases), blocks, steps))
 
 
 def _values(run) -> dict:
@@ -200,11 +247,16 @@ def record(parent_root, change_root) -> dict:
             summary["final_state_sha256"] = final_state_hash(root, name)
         entry["final_states_match"] = (
             entry["final_state_sha256"] == entry["parent"]["final_state_sha256"])
+        ratio, won, blocks, same = paired_steps(
+            change_root, parent_root / "src", [name], STEP_AB_BLOCKS, STEP_AB_STEPS)[name]
+        entry["step_ab"] = {"ratio": ratio, "won": won, "blocks": blocks,
+                            "steps": STEP_AB_STEPS, "states_equal": same}
         workloads[name] = entry
         for side in roots:
             med = {k: statistics.median(_values(r)[k] for r in runs[side])
                    for k in ("setup_s", "run_s", "step_ms", "peak_rss_mb")}
             print(f"{name} {side}: median {med}", file=sys.stderr)
+        print(f"{name}: step_ab {entry['step_ab']}", file=sys.stderr)
     return {
         "command": command,
         "seconds": seconds,

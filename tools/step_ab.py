@@ -3,19 +3,21 @@
     python3 tools/step_ab.py --parent REF [--case NAME ...] [--blocks N] [--steps B]
 
 Exports the committed files of REF (`git archive`) into a temporary
-directory and imports its `src/mlswe` as the package `mlswe_parent`, next
-to this checkout's `mlswe`. For each benchmark case both sides build the
+directory and, in a child process with one BLAS thread (the thread
+settings `bench/run.py` gives the benchmark's workers) that writes no
+bytecode, imports its `src/mlswe` as the package `mlswe_parent`, next to
+this checkout's `mlswe`. For each benchmark case both sides build the
 problem and take WARMUP steps; then both take CHECK steps more and their
-states must be byte-equal. Then they alternate N blocks of B steps each
-(parent first in the even-numbered pairs), each side from its own state,
-and the tool prints per case the median change/parent ratio of block times,
-the number of blocks the change won, and whether the two states are still
-byte-equal after the blocks. That last is reported, not enforced: a change
-may legitimately move the round-off. A step is what `run_case` does
-per step: the integrator's step and the Courant numbers of the new state,
-which also give the next dt under adaptive stepping. Alternating blocks in
-one process cancels most of the drift of a shared machine, which moves
-whole-run times by +-25%. The cases are the workloads of
+states are compared. Then they alternate N blocks of B steps each (parent
+first in the even-numbered pairs), each side from its own state, and the
+tool prints per case the median change/parent ratio of block times, the
+number of blocks the change won, and whether the two states were
+byte-equal both after the CHECK steps and after the blocks. That is
+reported, not enforced: a change may legitimately move the round-off. A
+step is what `run_case` does per step: the integrator's step and the
+Courant numbers of the new state, which also give the next dt under
+adaptive stepping. Alternating blocks in one process cancels most of the
+drift of a shared machine, which moves whole-run times by +-25%. The cases are the workloads of
 `bench/workloads.py`, and its `case` builds both sides' specs: REF's with
 `mlswe` bound to REF's package while it runs.
 """
@@ -34,7 +36,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "tools"), str(ROOT / "bench")]
-from bench_record import export  # noqa: E402
+from bench_record import export, paired_steps  # noqa: E402
 import workloads  # noqa: E402  (puts this checkout's src on sys.path)
 
 WARMUP, CHECK = 5, 10
@@ -91,7 +93,8 @@ class Side:
 
 def compare(parent_src: Path, cases, blocks: int, steps: int) -> dict:
     """case -> (median change/parent block-time ratio, blocks won, blocks,
-    whether the states are byte-equal after the blocks)."""
+    whether the states are byte-equal after the CHECK steps and after the
+    blocks), in this process, with its BLAS settings."""
     import mlswe
     parent = load(Path(parent_src), "mlswe_parent")
     results = {}
@@ -101,14 +104,13 @@ def compare(parent_src: Path, cases, blocks: int, steps: int) -> dict:
             side.run(WARMUP)
         for side in sides.values():
             side.run(CHECK)
-        if sides["parent"].snapshot() != sides["change"].snapshot():
-            raise RuntimeError(f"{case}: the states differ after {WARMUP + CHECK} steps")
+        same = sides["parent"].snapshot() == sides["change"].snapshot()
         times = {name: [] for name in sides}
         for i in range(blocks):
             for name in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
                 times[name].append(sides[name].run(steps))
         ratios = [c / p for c, p in zip(times["change"], times["parent"])]
-        same = sides["parent"].snapshot() == sides["change"].snapshot()
+        same = same and sides["parent"].snapshot() == sides["change"].snapshot()
         results[case] = (statistics.median(ratios), sum(r < 1.0 for r in ratios), blocks, same)
     return results
 
@@ -119,7 +121,7 @@ def summary(results: dict, steps: int) -> list:
     for case, (ratio, won, blocks, same) in results.items():
         lines += [f"{case}: change/parent {ratio:.3f} (median of {blocks} blocks of "
                   f"{steps} steps), change faster in {won}/{blocks}",
-                  f"{case}: states {'byte-equal' if same else 'differ'} after "
+                  f"{case}: states {'byte-equal after' if same else 'differ within'} "
                   f"{WARMUP + CHECK + blocks * steps} steps"]
     return lines
 
@@ -138,8 +140,9 @@ def main(argv=None) -> int:
         p.error("need at least 30 blocks of at least 1 step")
     with tempfile.TemporaryDirectory(prefix="step_ab_") as tmp:
         export(args.parent, Path(tmp))
-        results = compare(Path(tmp) / "src", args.case or list(workloads.WORKLOADS),
-                          args.blocks, args.steps)
+        results = paired_steps(ROOT, Path(tmp) / "src",
+                               args.case or list(workloads.WORKLOADS),
+                               args.blocks, args.steps)
     print("\n".join(summary(results, args.steps)))
     return 0
 
