@@ -154,8 +154,9 @@ def error_norms(state: State, ref: State, grid: Grid) -> dict:
     """Relative errors vs a reference on the same mesh and layout.
 
     Velocity and density errors are h-weighted l2 norms (weight dx_i times
-    the local layer thickness) and plain relative l-infinity norms; the free
-    surface uses standard relative norms over the cells.
+    the local layer thickness: a velocity's at the cell's right interface,
+    in that interface's layering) and plain relative l-infinity norms; the
+    free surface uses standard relative norms over the cells.
     """
     mesh, layout = grid.mesh, grid.layout
     if state.eta.shape != ref.eta.shape or state.u.shape != ref.u.shape:
@@ -173,8 +174,9 @@ def error_norms(state: State, ref: State, grid: Grid) -> dict:
     # velocities sampled at the right interface of each cell
     du = state.u[:, 1:] - ref.u[:, 1:]
     uref = ref.u[:, 1:]
-    num = np.sum(du ** 2 * w)
-    den = np.sum(uref ** 2 * w)
+    w_u = layout.l_half[:, 1:] * h_ref[None, :] * mesh.dx[None, :]
+    num = np.sum(du ** 2 * w_u)
+    den = np.sum(uref ** 2 * w_u)
     out["u_l2"] = float(np.sqrt(num / den)) if den > 0 else float(np.sqrt(num))
     umax = np.max(np.abs(uref))
     out["u_linf"] = float(np.max(np.abs(du)) / umax) if umax > 0 else float(

@@ -22,6 +22,11 @@ content less the carried flux, and the result's velocity step and density
 content. Each adds its terms in its tableau row's order, the order of one
 sum formed at the end, so the results are the same to the bit.
 
+Neither step writes a boundary column itself: every velocity it forms (an
+RK3 stage, an implicit stage solve, the IMEX result) and the free-surface W
+go through `Grid.fix_columns`, so a start's velocity at a wall does not
+survive a step of either kind.
+
 Density stages use a linearized update: each stage upwinds the previous
 stage's density with the tableau-weighted carrier velocity and carries it
 on the weighted sum of per-layer mass fluxes (at the height frozen at level
@@ -175,10 +180,8 @@ class RK3Integrator:
                 eta = w * state.eta + (1.0 - w) * eta
                 u = w * state.u + (1.0 - w) * u
                 r = w * r0 + (1.0 - w) * r
-            stage = State(eta, u, _density(r, eta, grid))
+            stage = State(eta, grid.fix_columns(u), _density(r, eta, grid))
             check_state(eta - grid.mesh.b, grid.h_min, u, stage.rho, u_max)
-        if grid.bounds.periodic:
-            stage.u[:, -1] = stage.u[:, 0]
         return stage
 
 
@@ -204,7 +207,7 @@ class ImplicitWorkspace:
                                 # every column; None if it is the identity
     w_hat: np.ndarray           # (n_max, M+1) velocity response to grad eta
     W: np.ndarray               # (M+1,) its column flux h * sum(l * w_hat),
-                                # 0 at discharge ends, W[M] = W[0] if periodic
+                                # closed by `Grid.fix_columns`
     fac: np.ndarray             # (M,) gamma_dt / dx
     factors: sla.Factors        # the free-surface matrix factored, cyclic if periodic
 
@@ -224,11 +227,7 @@ def build_implicit_workspace(grid: Grid, h_half, A: VerticalOperator | None,
 
     # free surface: column flux K + W * (jump of eta) at each interface; an
     # end of prescribed discharge fixes it to its flux, free of eta
-    W = h_half * (layout.l_half * w_hat).sum(axis=0)
-    for end in grid.discharge_ends:
-        W[end.iface] = 0.0
-    if grid.bounds.periodic:
-        W[M] = W[0]  # interface M aliases interface 0
+    W = grid.fix_columns(h_half * (layout.l_half * w_hat).sum(axis=0))
     fac = gamma_dt / mesh.dx
     factors = sla.factor(-fac * W[:M], 1.0 + fac * (W[:M] + W[1:]), -fac * W[1:],
                          cyclic=grid.bounds.periodic)
@@ -243,9 +242,9 @@ def implicit_stage_solve(grid: Grid, ws: ImplicitWorkspace,
         u = u_expl + gamma_dt (A u + k - g grad eta)
         eta = eta_expl - gamma_dt div(l h^n u)
 
-    with the workspace's frozen matrix. Returns (eta_stage, u_stage).
-    Velocities at non-evolved boundary columns are returned as zero;
-    prescribed values are reapplied on evaluation.
+    with the workspace's frozen matrix. Returns (eta_stage, u_stage), u
+    closed by `Grid.fix_columns`; a prescribed velocity is reapplied on
+    evaluation.
     """
     M = grid.mesh.M
     fac, W = ws.fac, ws.W
@@ -270,11 +269,7 @@ def implicit_stage_solve(grid: Grid, ws: ImplicitWorkspace,
 
     # back-substitute the velocities
     eta_g = ghost_elevation(eta, grid, t_stage)
-    u = u_hat - (eta_g[1:] - eta_g[:-1]) * ws.w_hat
-    u[:, grid.fixed_u_columns] = 0.0
-    if periodic:
-        u[:, M] = u[:, 0]
-    return eta, u
+    return eta, grid.fix_columns(u_hat - (eta_g[1:] - eta_g[:-1]) * ws.w_hat)
 
 
 def implicit_residual(grid: Grid, ws: ImplicitWorkspace, eta_expl, u_expl,
@@ -369,9 +364,7 @@ class IMEXIntegrator:
 
         # b is the last implicit row: eta^{n+1} = eta3, and the implicit
         # contributions to u telescope through stage 3
-        u_new = u + dt * du  # both zero off evolved_u
-        if grid.bounds.periodic:
-            u_new[:, -1] = u_new[:, 0]
+        u_new = grid.fix_columns(u + dt * du)
         rho = _density(lh_rho_n + dt * content, eta, grid)
         check_state(eta - grid.mesh.b, grid.h_min, u_new, rho, U_MAX)
         return State(eta, u_new, rho)

@@ -23,7 +23,11 @@ The operators check nothing: they trust that the state is finite, no cell
 is dry and the padding is zero. A state is checked once, where it is
 formed: a run's start by `State.validate`, a stage or a step's result by
 the integrator that forms it, and an outside caller's state by
-`compute_tendencies`.
+`compute_tendencies`. Likewise the columns a step does not evolve are
+closed where a step forms a velocity: the integrators pass every stage's
+velocity, the result's and the free-surface coefficient W through
+`Grid.fix_columns`. The operators read an end's prescribed velocity
+through `boundary_velocities`.
 
 Across a layer-count transition an interface sees a cell's densities,
 transfer field or velocity differences through one remap,
@@ -210,6 +214,16 @@ class Grid:
     def evolved_u_ones(self) -> np.ndarray:
         """Read-only `evolved_u` as floats, 1.0 and 0.0."""
         return _read_only(self.evolved_u.astype(float))
+
+    def fix_columns(self, a: np.ndarray) -> np.ndarray:
+        """a, an (..., M+1) interface array that a step forms (a stage's or
+        a result's velocity, the free-surface W), closed in place and
+        returned: 0 in the `fixed_u_columns`, then, if periodic, column 0's
+        values in its alias M."""
+        a[..., self.fixed_u_columns] = 0.0
+        if self.bounds.periodic:
+            a[..., -1] = a[..., 0]
+        return a
 
     @cached_property
     def advection_columns(self) -> AdvectionColumns:

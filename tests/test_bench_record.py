@@ -43,7 +43,8 @@ def test_record_alternates_parent_and_change(monkeypatch, tmp_path, capsys):
         assert (root, parent_src, blocks, steps) == (
             change, parent / "src", br.STEP_AB_BLOCKS, br.STEP_AB_STEPS)
         calls.append((*cases, "step_ab", None))
-        return {case: [0.99, blocks - 1, blocks, case != "tidal_nvar4"] for case in cases}
+        return {case: [0.99, 0.04, blocks - 1, blocks, case != "tidal_nvar4"]
+                for case in cases}
 
     monkeypatch.setattr(br, "bench_run", fake_run)
     monkeypatch.setattr(br, "final_state_hash", fake_hash)
@@ -74,7 +75,8 @@ def test_record_alternates_parent_and_change(monkeypatch, tmp_path, capsys):
         # step_ab once, after the workload's timed runs; differing states
         # are recorded, not raised
         assert [side for w, side, _ in calls if w == name][2 * br.PAIRS + 2:] == ["step_ab"]
-        assert entry["step_ab"] == {"ratio": 0.99, "won": br.STEP_AB_BLOCKS - 1,
+        assert entry["step_ab"] == {"ratio": 0.99, "iqr": 0.04,
+                                    "won": br.STEP_AB_BLOCKS - 1,
                                     "blocks": br.STEP_AB_BLOCKS,
                                     "steps": br.STEP_AB_STEPS,
                                     "states_equal": name != "tidal_nvar4"}
@@ -105,7 +107,7 @@ def test_both_sides_run_from_alike_exports(monkeypatch):
 
     def fake_steps(root, parent_src, cases, blocks, steps):
         roots.update((root, parent_src.parent))
-        return {case: [1.0, 0, blocks, True] for case in cases}
+        return {case: [1.0, 0.0, 0, blocks, True] for case in cases}
 
     monkeypatch.setattr(br, "bench_run", fake_run)
     monkeypatch.setattr(br, "final_state_hash", fake_hash)
@@ -186,6 +188,7 @@ def test_step_ab_runs_in_a_child_and_leaves_the_tree_as_it_was(tmp_path, monkeyp
     br.export_checkout(tmp_path)
     before = sorted(tmp_path.rglob("*"))
     result = br.paired_steps(tmp_path, tmp_path / "src", ["lock_exchange_rk3"], 30, 1)
-    ratio, won, blocks, same = result["lock_exchange_rk3"]
-    assert blocks == 30 and 0 <= won <= 30 and ratio > 0.0 and same is True
+    ratio, iqr, won, blocks, same = result["lock_exchange_rk3"]
+    assert blocks == 30 and 0 <= won <= 30 and ratio > 0.0 and iqr >= 0.0
+    assert same is True
     assert sorted(tmp_path.rglob("*")) == before

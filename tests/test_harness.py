@@ -8,6 +8,7 @@ import pytest
 import mlswe as m
 from mlswe import csvio, harness
 from mlswe.harness import RunResult
+from test_step_reference import three_region_basin
 
 
 def small_grid(M=60, n_layers=2, x_min=0.0, x_max=6.0, eta0=0.3):
@@ -64,6 +65,20 @@ def test_error_norms_weighting_ignores_masked_layers():
     errs = m.error_norms(other, ref, grid)
     assert errs["rho_l2"] == pytest.approx(0.01 / 0.03, rel=1e-12)
     assert errs["rho_linf"] == pytest.approx(0.01 / 0.03, rel=1e-12)
+
+
+def test_error_norms_weigh_a_velocity_in_its_interfaces_layering():
+    """Interface 27 of the 2 -> 4 -> 2 basin is coarse and the right
+    interface of a fine cell: a velocity error delta in both of its layers
+    weighs delta^2 h dx, as on any coarse interface, not the half that the
+    cell's two lower fine layers would give."""
+    grid, ref = three_region_basin([0.5, 0.5], [0.25] * 4)
+    assert grid.layout.n_int[26] == 4 and grid.layout.n_half[27] == 2
+    state, delta = ref.copy(), 1e-3
+    state.u[:2, 27] = delta
+    h_dx = (ref.eta[26] - grid.mesh.b[26]) * grid.mesh.dx[26]
+    assert m.error_norms(state, ref, grid)["u_l2"] ** 2 == pytest.approx(
+        delta ** 2 * h_dx, rel=1e-12)
 
 
 def test_error_norms_shape_mismatch():

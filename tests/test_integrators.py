@@ -206,6 +206,18 @@ def test_stage_velocities_are_zero_off_the_evolved_ones(name):
     assert not np.any(np.signbit(u[off]))
 
 
+def test_both_steps_leave_zero_at_the_walls():
+    """A start with u = 0.05 at its walls, stepped directly: the RK3 step
+    leaves +0.0 there, as the IMEX step does, instead of carrying the
+    start's value (a wall's tendency is 0)."""
+    _, limiter, grid, state, t, dt, _ = reference_runs()["basin_242_rk3"]
+    walls = grid.fixed_u_columns
+    assert np.all(state.u[:2, walls] != 0.0)
+    for cls in (m.RK3Integrator, m.IMEXIntegrator):
+        u = cls(grid, limiter).step(state, t, dt).u[:, walls]
+        assert u.tobytes() == bytes(u.nbytes), cls.__name__
+
+
 @pytest.mark.parametrize("name", ["tidal_nvar4", "basin_424", "periodic_viscous"])
 def test_column_matrix_is_one_minus_gamma_dt_A(name):
     """The workspace's eliminated column matrix, multiplied back out (L U,

@@ -99,6 +99,23 @@ def test_periodic_wraparound():
     assert eta_g[0] == st.eta[-1] and eta_g[-1] == st.eta[0]
 
 
+@pytest.mark.parametrize("bounds, fixed", [
+    (Boundaries(Discharge(q=lambda t: 0.1, rho=lambda t: np.zeros(3)),
+                Elevation(eta=lambda t: 0.4, rho=lambda t: np.zeros(3))), [0]),
+    (closed(), [0, 16]), (periodic(), [16])])
+def test_fix_columns_closes_any_interface_array_in_place(bounds, fixed):
+    """0 in the columns of prescribed discharge, and column 0's values in
+    the periodic alias M, on a (M+1,) row and on (n, M+1) layers alike."""
+    grid = make_grid(bounds=bounds)
+    assert grid.fixed_u_columns.tolist() == fixed
+    for a in (np.arange(1.0, 18.0), np.arange(1.0, 52.0).reshape(3, 17)):
+        want = a.copy()
+        want[..., fixed] = 0.0
+        if bounds.periodic:
+            want[..., -1] = want[..., 0]
+        assert grid.fix_columns(a) is a and np.array_equal(a, want)
+
+
 # ---------------------------------------------------------------------------
 # mass transfer
 

@@ -26,8 +26,10 @@ def test_checkout_against_itself(monkeypatch):
     monkeypatch.setitem(sys.modules, "mlswe_parent", None)
     step_ab = _load(ROOT / "tools" / "step_ab.py", "step_ab")
     results = step_ab.compare(ROOT / "src", ["lock_exchange_rk3"], blocks=30, steps=1)
-    ratio, won, blocks, same = results["lock_exchange_rk3"]
-    assert blocks == 30 and 0 <= won <= 30 and ratio > 0.0 and same
+    ratio, iqr, won, blocks, same = results["lock_exchange_rk3"]
+    assert blocks == 30 and 0 <= won <= 30 and ratio > 0.0 and iqr >= 0.0 and same
+    assert f"(median of 30 blocks of 1 steps, IQR {iqr:.3f})" in step_ab.summary(
+        results, steps=1)[0]
     assert step_ab.summary(results, steps=1)[1] == (
         "lock_exchange_rk3: states byte-equal after 45 steps")
     assert sys.modules["mlswe_parent"] is not sys.modules["mlswe"]
@@ -48,7 +50,7 @@ def test_states_that_differ_are_reported(monkeypatch, tmp_path):
     spatial.write_text(text.replace("-(self.params.g / self.dx_half)",
                                     "-(self.params.g * (1.0 + 1e-15) / self.dx_half)"))
     results = step_ab.compare(tmp_path, ["lock_exchange_rk3"], blocks=30, steps=1)
-    ratio, won, blocks, same = results["lock_exchange_rk3"]
+    ratio, _, won, blocks, same = results["lock_exchange_rk3"]
     assert blocks == 30 and ratio > 0.0 and not same
     assert step_ab.summary(results, steps=1)[1] == (
         "lock_exchange_rk3: states differ within 45 steps")
@@ -64,9 +66,11 @@ def test_main_compares_in_a_child_with_one_blas_thread(monkeypatch, capsys):
     def fake(root, parent_src, cases, blocks, steps):
         seen.append((root, (parent_src / "mlswe" / "spatial.py").is_file(), cases,
                      blocks, steps))
-        return {case: [1.0, 15, blocks, True] for case in cases}
+        return {case: [1.0, 0.02, 15, blocks, True] for case in cases}
     monkeypatch.setattr(step_ab, "paired_steps", fake)
     assert step_ab.main(["--parent", "HEAD", "--case", "tidal_nvar4"]) == 0
     assert seen == [(ROOT, True, ["tidal_nvar4"], 30, 20)]
-    assert capsys.readouterr().out.splitlines()[1] == (
-        "tidal_nvar4: states byte-equal after 615 steps")
+    assert capsys.readouterr().out.splitlines() == [
+        "tidal_nvar4: change/parent 1.000 (median of 30 blocks of 20 steps, IQR 0.020), "
+        "change faster in 15/30",
+        "tidal_nvar4: states byte-equal after 615 steps"]

@@ -7,11 +7,13 @@ alone shows any change it does make. From the same starts, the split
 right-hand side is checked against its term-by-term composition, and the
 work of the steps is counted.
 
-Regenerate the file (only after a change that is meant to alter results):
+Regenerate the file (only after a change that is meant to alter results),
+or with run names only those runs' entries, keeping the others:
 
-    PYTHONPATH=src python tests/test_step_reference.py
+    PYTHONPATH=src python tests/test_step_reference.py [NAME ...]
 """
 
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -258,9 +260,10 @@ def test_run_case_evaluates_courant_once_per_state(monkeypatch):
 
 
 if __name__ == "__main__":
-    data = {}
-    for name, run in reference_runs().items():
-        data.update(_record(name, *advance(*run)))
+    runs, names = reference_runs(), sys.argv[1:]
+    data = dict(np.load(REFERENCE)) if names else {}
+    for name in names or runs:
+        data.update(_record(name, *advance(*runs[name])))
     REFERENCE.parent.mkdir(exist_ok=True)
     np.savez_compressed(REFERENCE, **data)
     print(f"wrote {REFERENCE} ({REFERENCE.stat().st_size} bytes)")

@@ -19,9 +19,10 @@ the sha256 of the final state of a `run_case` of the workload, run in
 each side's tree, with whether the two sides' hashes match; and the paired
 step timing of `tools/step_ab.py` (STEP_AB_BLOCKS alternated blocks of
 STEP_AB_STEPS steps, run from the change's tree against the parent's
-package): the median change/parent ratio, the blocks the change won, the
-blocks and steps per block, and whether the two sides' states were
-byte-equal after the warm-up and after the blocks. The hash and the step
+package): the median change/parent ratio and the interquartile range of
+the block ratios, the blocks the change won, the blocks and steps per
+block, and whether the two sides' states were byte-equal after the
+warm-up and after the blocks. The hash and the step
 timing run with one BLAS thread, as the benchmark's workers do, and write
 no bytecode into either tree.
 Also the line count of src/mlswe on both sides, REF and its commit, and the
@@ -127,9 +128,9 @@ print(json.dumps(step_ab.compare(sys.argv[2], cases, blocks, steps)))
 
 def paired_steps(root, parent_src, cases, blocks, steps) -> dict:
     """tools/step_ab.py's `compare` of the tree at `root` against the
-    package under `parent_src`: case -> [median change/parent ratio, blocks
-    won, blocks, states byte-equal], with one BLAS thread and no bytecode
-    written into either tree."""
+    package under `parent_src`: case -> [median change/parent ratio, its
+    interquartile range, blocks won, blocks, states byte-equal], with one
+    BLAS thread and no bytecode written into either tree."""
     return json.loads(_child(_STEP_AB, root, parent_src, ",".join(cases), blocks, steps))
 
 
@@ -247,9 +248,9 @@ def record(parent_root, change_root) -> dict:
             summary["final_state_sha256"] = final_state_hash(root, name)
         entry["final_states_match"] = (
             entry["final_state_sha256"] == entry["parent"]["final_state_sha256"])
-        ratio, won, blocks, same = paired_steps(
+        ratio, iqr, won, blocks, same = paired_steps(
             change_root, parent_root / "src", [name], STEP_AB_BLOCKS, STEP_AB_STEPS)[name]
-        entry["step_ab"] = {"ratio": ratio, "won": won, "blocks": blocks,
+        entry["step_ab"] = {"ratio": ratio, "iqr": iqr, "won": won, "blocks": blocks,
                             "steps": STEP_AB_STEPS, "states_equal": same}
         workloads[name] = entry
         for side in roots:

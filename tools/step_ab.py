@@ -11,13 +11,15 @@ problem and take WARMUP steps; then both take CHECK steps more and their
 states are compared. Then they alternate N blocks of B steps each (parent
 first in the even-numbered pairs), each side from its own state, and the
 tool prints per case the median change/parent ratio of block times, the
-number of blocks the change won, and whether the two states were
-byte-equal both after the CHECK steps and after the blocks. That is
-reported, not enforced: a change may legitimately move the round-off. A
-step is what `run_case` does per step: the integrator's step and the
-Courant numbers of the new state, which also give the next dt under
-adaptive stepping. Alternating blocks in one process cancels most of the
-drift of a shared machine, which moves whole-run times by +-25%. The cases are the workloads of
+interquartile range of the block ratios (so a median that the spread
+resolves can be told from an unsteady win count), the number of blocks the
+change won, and whether the two states were byte-equal both after the
+CHECK steps and after the blocks. The states are reported, not enforced:
+a change may legitimately move the round-off. A step is what `run_case`
+does per step: the integrator's step and the Courant numbers of the new
+state, which also give the next dt under adaptive stepping. Alternating
+blocks in one process cancels most of the drift of a shared machine, which
+moves whole-run times by +-25%. The cases are the workloads of
 `bench/workloads.py`, and its `case` builds both sides' specs: REF's with
 `mlswe` bound to REF's package while it runs.
 """
@@ -92,9 +94,10 @@ class Side:
 
 
 def compare(parent_src: Path, cases, blocks: int, steps: int) -> dict:
-    """case -> (median change/parent block-time ratio, blocks won, blocks,
-    whether the states are byte-equal after the CHECK steps and after the
-    blocks), in this process, with its BLAS settings."""
+    """case -> (median change/parent block-time ratio, the interquartile
+    range of those ratios, blocks won, blocks, whether the states are
+    byte-equal after the CHECK steps and after the blocks), in this process,
+    with its BLAS settings."""
     import mlswe
     parent = load(Path(parent_src), "mlswe_parent")
     results = {}
@@ -111,16 +114,18 @@ def compare(parent_src: Path, cases, blocks: int, steps: int) -> dict:
                 times[name].append(sides[name].run(steps))
         ratios = [c / p for c, p in zip(times["change"], times["parent"])]
         same = same and sides["parent"].snapshot() == sides["change"].snapshot()
-        results[case] = (statistics.median(ratios), sum(r < 1.0 for r in ratios), blocks, same)
+        q1, _, q3 = statistics.quantiles(ratios)
+        results[case] = (statistics.median(ratios), q3 - q1, sum(r < 1.0 for r in ratios),
+                         blocks, same)
     return results
 
 
 def summary(results: dict, steps: int) -> list:
     """Two lines per case of `compare`'s results: the timing, then the states."""
     lines = []
-    for case, (ratio, won, blocks, same) in results.items():
+    for case, (ratio, iqr, won, blocks, same) in results.items():
         lines += [f"{case}: change/parent {ratio:.3f} (median of {blocks} blocks of "
-                  f"{steps} steps), change faster in {won}/{blocks}",
+                  f"{steps} steps, IQR {iqr:.3f}), change faster in {won}/{blocks}",
                   f"{case}: states {'byte-equal after' if same else 'differ within'} "
                   f"{WARMUP + CHECK + blocks * steps} steps"]
     return lines
