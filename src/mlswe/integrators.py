@@ -24,8 +24,8 @@ sum formed at the end, so the results are the same to the bit.
 
 Neither step writes a boundary column itself: every velocity it forms (an
 RK3 stage, an implicit stage solve, the IMEX result) and the free-surface W
-go through `Grid.fix_columns`, so a start's velocity at a wall does not
-survive a step of either kind.
+go through `Grid.fix_columns`. Each checks a stage's depth where it is
+evaluated (RK3 in `compute_tendencies`) and the result in full.
 
 Density stages use a linearized update: each stage upwinds the previous
 stage's density with the tableau-weighted carrier velocity and carries it
@@ -169,8 +169,8 @@ class RK3Integrator:
         r0 = grid.layout.l_int * (state.eta - grid.mesh.b) * state.rho
         stage, r = state, r0
         # Shu-Osher rows: y_s = w y^n + (1 - w) (y_{s-1} + dt L(y_{s-1}, t + c dt));
-        # the last stage is the step's result, whose |u| is bounded
-        for w, c, u_max in ((0.0, 0.0, None), (0.75, 1.0, None), (1.0 / 3.0, 0.5, U_MAX)):
+        # compute_tendencies checks a stage's depth, the last stage is the result
+        for w, c in ((0.0, 0.0), (0.75, 1.0), (1.0 / 3.0, 0.5)):
             self.n_rhs += 1
             tend = compute_tendencies(stage, grid, t + c * dt, limiter=self.limiter)
             eta = stage.eta + dt * tend.d_eta
@@ -181,7 +181,7 @@ class RK3Integrator:
                 u = w * state.u + (1.0 - w) * u
                 r = w * r0 + (1.0 - w) * r
             stage = State(eta, grid.fix_columns(u), _density(r, eta, grid))
-            check_state(eta - grid.mesh.b, grid.h_min, u, stage.rho, u_max)
+        check_state(eta - grid.mesh.b, grid.h_min, u, stage.rho, U_MAX)
         return stage
 
 

@@ -20,14 +20,15 @@ sums of the fractions, metric factors) is built once, read-only, as a cached
 property of `Grid`; the operators never write into their inputs.
 
 The operators check nothing: they trust that the state is finite, no cell
-is dry and the padding is zero. A state is checked once, where it is
-formed: a run's start by `State.validate`, a stage or a step's result by
-the integrator that forms it, and an outside caller's state by
-`compute_tendencies`. Likewise the columns a step does not evolve are
-closed where a step forms a velocity: the integrators pass every stage's
-velocity, the result's and the free-surface coefficient W through
-`Grid.fix_columns`. The operators read an end's prescribed velocity
-through `boundary_velocities`.
+is dry and the padding is zero. A state is checked once: a run's start
+by `State.validate` and a step's result by its integrator, in full; a
+stage's depth where it is evaluated, after its solve in the IMEX step, by
+`compute_tendencies` in the RK3 step and for an outside caller. Likewise
+the columns a step does not evolve are closed where a step forms a
+velocity: the integrators pass every stage's velocity, the result's and
+the free-surface coefficient W through `Grid.fix_columns`, and
+`stream_case` refuses a start that it would change. The operators read an
+end's prescribed velocity through `boundary_velocities`.
 
 Across a layer-count transition an interface sees a cell's densities,
 transfer field or velocity differences through one remap,
@@ -252,8 +253,11 @@ class Grid:
             (row_start + np.concatenate([no_right, no_left + 2])).ravel())))
 
     def __post_init__(self):
-        """Reject boundary input that does not fit the layout."""
+        """Reject a layout of another mesh, and boundary input that does not fit it."""
         layout, bounds, M = self.layout, self.bounds, self.mesh.M
+        if layout.n_half.size != M + 1:
+            raise ValueError(f"the layout has {layout.n_half.size - 1} cells, "
+                             f"but the mesh has {M}")
         if bounds.periodic:
             ends = [layout.l_half[: layout.n_half[j], j] for j in (0, M)]
             if not np.array_equal(*ends):

@@ -32,25 +32,34 @@ def test_error_norms_identity_is_zero():
 
 
 def test_error_norms_are_homogeneous_in_the_difference():
+    """Also where the reference is 0 everywhere, at rest with eta = 0: each
+    norm is then the error's own, unnormalised, with no division by zero."""
     grid, ref = small_grid()
     x = grid.mesh.x_center
     ref.eta += 0.01 * np.sin(x)
     ref.u += 0.1 * np.cos(grid.mesh.x_iface)[None, :]
     ref.rho += 0.02 + 0.01 * np.sin(x)[None, :]
+    mesh = m.build_mesh(0.0, 1.0, 10, bathymetry=-1.0)
+    layout = m.uniform_layout(mesh, 1)
+    at_rest = (m.Grid(mesh=mesh, layout=layout, params=m.PhysParams()),
+               m.rest_state(mesh, layout, eta0=0.0))
 
     rng = np.random.default_rng(9)
-    d_eta = 1e-3 * rng.standard_normal(ref.eta.shape)
-    d_u = 1e-3 * rng.standard_normal(ref.u.shape)
-    d_rho = 1e-3 * rng.standard_normal(ref.rho.shape)
+    for grid, ref in ((grid, ref), at_rest):
+        d_eta = 1e-3 * rng.standard_normal(ref.eta.shape)
+        d_u = 1e-3 * rng.standard_normal(ref.u.shape)
+        d_rho = 1e-3 * rng.standard_normal(ref.rho.shape)
 
-    def perturbed(scale):
-        return m.State(ref.eta + scale * d_eta, ref.u + scale * d_u,
-                       ref.rho + scale * d_rho)
+        def perturbed(scale):
+            return m.State(ref.eta + scale * d_eta, ref.u + scale * d_u,
+                           ref.rho + scale * d_rho)
 
-    e1 = m.error_norms(perturbed(1.0), ref, grid)
-    e2 = m.error_norms(perturbed(0.5), ref, grid)
-    for k in e1:
-        assert e2[k] == pytest.approx(0.5 * e1[k], rel=1e-12)
+        e1 = m.error_norms(perturbed(1.0), ref, grid)
+        e2 = m.error_norms(perturbed(0.5), ref, grid)
+        for k in e1:
+            assert e2[k] == pytest.approx(0.5 * e1[k], rel=1e-12)
+    assert e1["eta_linf"] == np.max(np.abs(d_eta))
+    assert e1["eta_l2"] == pytest.approx(np.sqrt(np.sum(d_eta ** 2 * mesh.dx)), rel=1e-12)
 
 
 def test_error_norms_weighting_ignores_masked_layers():
@@ -245,16 +254,27 @@ def test_start_padding_is_refused():
                 m.stream_case(spec, grid, state)
 
 
-@pytest.mark.parametrize("column", [0, -1])
-def test_start_wall_velocity_is_refused(column):
-    """A step sets the velocity at a wall, but the Courant numbers of the
-    start read it: u = 1 there would give an adaptive RK3 run other steps."""
-    spec = m.case_lock_exchange(integrator="rk3", dt=None, target_ccel=0.9, t_final=5.0)
+@pytest.mark.parametrize("bounds, column, u, closed", [
+    pytest.param(m.closed(), 0, 0.0, 0, id="0"),
+    pytest.param(m.closed(), -1, 0.0, 0, id="-1"),
+    pytest.param(m.periodic(), -1, 0.1, 0.1, id="periodic-alias")])
+def test_start_wall_velocity_is_refused(bounds, column, u, closed):
+    """A step closes the velocity columns it does not evolve
+    (`Grid.fix_columns`), but the Courant numbers of the start read them: a
+    wall's u = 1, or a periodic alias column M of 3 beside column 0's 0.1,
+    would give an adaptive RK3 run other steps. A start closed as a step
+    closes its result is taken."""
+    spec = m.case_lock_exchange(integrator="rk3", dt=None, target_ccel=0.9, t_final=5.0,
+                                bounds=bounds)
     grid, state = m.build_problem(spec)
-    state.u[:, column] = 1.0
+    state.u[:] = u
+    state.u[:, column] = 3.0 if bounds.periodic else 1.0
     j = column % (grid.mesh.M + 1)
-    with pytest.raises(ValueError, match=rf"^u\[0, {j}\] = 1 is at an end of prescribed"):
+    with pytest.raises(ValueError, match=rf"^u\[0, {j}\] = {state.u[0, j]:g}, but a "
+                       rf"step leaves {closed:g} there$"):
         m.stream_case(spec, grid, state)
+    grid.fix_columns(state.u)
+    m.stream_case(spec, grid, state)
 
 
 def test_streamed_run_holds_no_list_of_states(tmp_path):

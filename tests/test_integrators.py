@@ -270,13 +270,17 @@ def test_steppers_agree_on_smooth_problem():
 
 
 def test_step_failure_on_near_dry_state():
+    """The first stage drains the cell beside the left wall; the second
+    stage's right-hand side, which checks the depth it reads, names it."""
     mesh = m.build_mesh(0.0, 1.0, 8)
     layout = m.uniform_layout(mesh, 1)
     grid = m.Grid(mesh=mesh, layout=layout, params=m.PhysParams())
     state = m.rest_state(mesh, layout, eta0=1e-3)
     state.u[:] = 5.0  # drains cells immediately
-    with pytest.raises(m.StepFailure):
+    with pytest.raises(m.StepFailure) as failure:
         m.rk3_step(state, grid, 0.0, 0.05)
+    assert (failure.value.reason, failure.value.field, failure.value.column) == (
+        f"depth at or below h_min={grid.h_min:g}", "eta", 0)
 
 
 def test_rhs_counters():

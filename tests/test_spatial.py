@@ -609,6 +609,14 @@ def test_grid_rejects_boundary_density_of_the_wrong_length(side, cond, message):
         make_grid(bounds=bounds)
 
 
+def test_grid_rejects_a_layout_of_another_mesh():
+    """A layout built on 20 cells does not fit a 30-cell mesh: the grid says
+    so when it is built, not an operator's IndexError in the first step."""
+    layout = uniform_layout(build_mesh(0.0, 1.0, 20), 2)
+    with pytest.raises(ValueError, match="^the layout has 20 cells, but the mesh has 30$"):
+        Grid(mesh=build_mesh(0.0, 1.0, 30), layout=layout, params=PhysParams())
+
+
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_boundaries_reject_an_unknown_condition(side):
     conds = ("open", Wall()) if side == "left" else (Wall(), "open")

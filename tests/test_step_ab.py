@@ -58,7 +58,8 @@ def test_states_that_differ_are_reported(monkeypatch, tmp_path):
 
 def test_main_compares_in_a_child_with_one_blas_thread(monkeypatch, capsys):
     """`main` exports the parent and hands the comparison to bench_record's
-    `paired_steps`, which runs it with the benchmark's one BLAS thread."""
+    `paired_steps`, which runs it with the benchmark's one BLAS thread, by
+    default in the blocks and steps that bench_record records."""
     monkeypatch.setattr(sys, "path", list(sys.path))
     step_ab = _load(ROOT / "tools" / "step_ab.py", "step_ab")
     seen = []
@@ -69,8 +70,8 @@ def test_main_compares_in_a_child_with_one_blas_thread(monkeypatch, capsys):
         return {case: [1.0, 0.02, 15, blocks, True] for case in cases}
     monkeypatch.setattr(step_ab, "paired_steps", fake)
     assert step_ab.main(["--parent", "HEAD", "--case", "tidal_nvar4"]) == 0
-    assert seen == [(ROOT, True, ["tidal_nvar4"], 30, 20)]
+    assert seen == [(ROOT, True, ["tidal_nvar4"], 40, 20)]
     assert capsys.readouterr().out.splitlines() == [
-        "tidal_nvar4: change/parent 1.000 (median of 30 blocks of 20 steps, IQR 0.020), "
-        "change faster in 15/30",
-        "tidal_nvar4: states byte-equal after 615 steps"]
+        "tidal_nvar4: change/parent 1.000 (median of 40 blocks of 20 steps, IQR 0.020), "
+        "change faster in 15/40",
+        "tidal_nvar4: states byte-equal after 815 steps"]

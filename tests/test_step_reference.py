@@ -231,11 +231,14 @@ def test_rk3_step_work(name, monkeypatch):
     """Per step: one full right-hand side per stage, each with its one field
     preparation (which upwinds height and density once each) and its
     vertical density term (which upwinds once), and no implicit solve. A
-    stage's state is checked twice: its depth where the right-hand side
-    reads it, in full where the stage forms it."""
+    stage is checked where it is evaluated, as in the IMEX step: its depth
+    by the right-hand side that reads it; the result is checked in full.
+    That is four checks per step; the one repeat is the level-n depth, which
+    was checked in full as the last step's result (or as the start) and is
+    read again through the checked public `compute_tendencies`."""
     calls, integ = _two_steps_counted(name, monkeypatch)
     assert calls == {**dict.fromkeys(WORK, 6), "upwind_interface": 18,
-                     "check_state": 12, "_thomas": 0, "solve_banded": 0}
+                     "check_state": 8, "_thomas": 0, "solve_banded": 0}
     assert integ.n_rhs == 6
 
 

@@ -8,18 +8,19 @@ settings `bench/run.py` gives the benchmark's workers) that writes no
 bytecode, imports its `src/mlswe` as the package `mlswe_parent`, next to
 this checkout's `mlswe`. For each benchmark case both sides build the
 problem and take WARMUP steps; then both take CHECK steps more and their
-states are compared. Then they alternate N blocks of B steps each (parent
-first in the even-numbered pairs), each side from its own state, and the
-tool prints per case the median change/parent ratio of block times, the
-interquartile range of the block ratios (so a median that the spread
-resolves can be told from an unsteady win count), the number of blocks the
-change won, and whether the two states were byte-equal both after the
-CHECK steps and after the blocks. The states are reported, not enforced:
-a change may legitimately move the round-off. A step is what `run_case`
-does per step: the integrator's step and the Courant numbers of the new
-state, which also give the next dt under adaptive stepping. Alternating
-blocks in one process cancels most of the drift of a shared machine, which
-moves whole-run times by +-25%. The cases are the workloads of
+states are compared. Then they alternate N blocks of B steps each (by
+default the STEP_AB_BLOCKS and STEP_AB_STEPS that `tools/bench_record.py`
+records; parent first in the even-numbered pairs), each side from its own
+state, and the tool prints per case the median change/parent ratio of block
+times, the interquartile range of the block ratios (so a median that the
+spread resolves can be told from an unsteady win count), the number of
+blocks the change won, and whether the two states were byte-equal both
+after the CHECK steps and after the blocks. The states are reported, not
+enforced: a change may legitimately move the round-off. A step is what
+`run_case` does per step: the integrator's step and the Courant numbers of
+the new state, which also give the next dt under adaptive stepping.
+Alternating blocks in one process cancels most of the drift of a shared
+machine, which moves whole-run times by +-25%. The cases are the workloads of
 `bench/workloads.py`, and its `case` builds both sides' specs: REF's with
 `mlswe` bound to REF's package while it runs.
 """
@@ -38,7 +39,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "tools"), str(ROOT / "bench")]
-from bench_record import export, paired_steps  # noqa: E402
+from bench_record import STEP_AB_BLOCKS, STEP_AB_STEPS, export, paired_steps  # noqa: E402
 import workloads  # noqa: E402  (puts this checkout's src on sys.path)
 
 WARMUP, CHECK = 5, 10
@@ -137,9 +138,9 @@ def main(argv=None) -> int:
                    help="the git commit to time against")
     p.add_argument("--case", action="append", choices=workloads.WORKLOADS,
                    help="a benchmark case (repeatable; default all)")
-    p.add_argument("--blocks", type=int, default=30,
+    p.add_argument("--blocks", type=int, default=STEP_AB_BLOCKS,
                    help="alternated blocks per side (at least 30)")
-    p.add_argument("--steps", type=int, default=20, help="steps per block")
+    p.add_argument("--steps", type=int, default=STEP_AB_STEPS, help="steps per block")
     args = p.parse_args(argv)
     if args.blocks < 30 or args.steps < 1:
         p.error("need at least 30 blocks of at least 1 step")
